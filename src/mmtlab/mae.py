@@ -296,9 +296,7 @@ def mae_forward(
         inverse = np.argsort(np.concatenate([vis, msk], axis=1), axis=1)
         full = ad.add(ad.gather_rows(cat, inverse), dec[f"{m}.dec.pos"])
         for l in range(cfg.decoder_depth):
-            full = run_block(
-                dec, f"{m}.dec.layers.{l}", full, dd, cfg.decoder_heads, mcfg.ln_eps
-            )
+            full = run_block(dec, f"{m}.dec.layers.{l}", full, cfg.decoder_heads, mcfg.ln_eps)
         full = ad.layer_norm(
             full, dec[f"{m}.dec.out_ln.g"], dec[f"{m}.dec.out_ln.b"], eps=mcfg.ln_eps
         )

@@ -204,29 +204,31 @@ class MbtParameters:
 # forward passes
 
 
-def run_block(p, prefix: str, x: Tensor, dim: int, heads: int, eps: float) -> Tensor:
+def run_block(p, prefix: str, x: Tensor, heads: int, eps: float) -> Tensor:
     """Pre-norm transformer block: attention then MLP, both residual.
 
     ``p`` is anything indexable by dotted parameter name; the pretraining
-    decoders reuse this with their own (smaller) dimensions.
+    decoders reuse this with their own (smaller) widths, which the ops read
+    from the parameters.
     """
     h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
-    qkv = ad.linear(h, p[f"{prefix}.wqkv"], p[f"{prefix}.bqkv"])
-    q = ad.narrow(qkv, -1, 0, dim)
-    k = ad.narrow(qkv, -1, dim, dim)
-    v = ad.narrow(qkv, -1, 2 * dim, dim)
-    att = ad.multi_head_attention(q, k, v, heads, p[f"{prefix}.wo"])
-    x = ad.add(x, ad.add(att, p[f"{prefix}.bo"]))
+    h = ad.linear(h, p[f"{prefix}.wqkv"], p[f"{prefix}.bqkv"])
+    h = ad.multi_head_attention(h, heads)
+    x = ad.add(x, ad.linear(h, p[f"{prefix}.wo"], p[f"{prefix}.bo"]))
     h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
-    h = ad.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
-    h = ad.gelu(h)
-    h = ad.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
+    h = ad.mlp(
+        h,
+        p[f"{prefix}.mlp.w1"],
+        p[f"{prefix}.mlp.b1"],
+        p[f"{prefix}.mlp.w2"],
+        p[f"{prefix}.mlp.b2"],
+    )
     return ad.add(x, h)
 
 
 def _block(p: MbtParameters, prefix: str, x: Tensor) -> Tensor:
     cfg = p.config
-    return run_block(p, prefix, x, cfg.embed_dim, cfg.heads, cfg.ln_eps)
+    return run_block(p, prefix, x, cfg.heads, cfg.ln_eps)
 
 
 def embed_content(p: MbtParameters, modality: str, patches: np.ndarray) -> Tensor:
@@ -467,6 +469,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, str]:
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if rank else 8
         arr = np.frombuffer(take(n_bytes), dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         arrays[name] = arr.astype(np.float64)
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")

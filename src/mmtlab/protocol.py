@@ -151,6 +151,9 @@ def _predict_group(
         logits = unimodal_forward(params, wanted[0], content[wanted[0]])
     else:
         logits = forward(params, content)
+    # argmax would silently pick the first NaN, so refuse to score
+    if not all(np.isfinite(l.data).all() for l in logits):
+        raise FloatingPointError(f"non-finite logits in a batch of {len(idx)} samples")
     return np.stack([l.data.argmax(axis=1) for l in logits], axis=1)
 
 

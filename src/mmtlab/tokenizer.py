@@ -1,7 +1,8 @@
 """Patch tokenization for spectrogram and video inputs.
 
-Raw inputs are cut into non-overlapping patches, flattened in a fixed
-(row-major) order, and linearly projected to the embedding dimension.
+Raw inputs are cut into non-overlapping patches and flattened in a fixed
+(row-major) order; :func:`mmtlab.model.embed_content` projects them to the
+embedding dimension.
 Token counts are pure arithmetic on the input geometry, so the same code
 answers both the desk-scale defaults and full-scale sanity checks such as
 a 128-bin, 8-second spectrogram at 100 frames per second yielding
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 
 
@@ -142,8 +141,3 @@ def unpatch_video(tokens: np.ndarray, geom: VideoGeometry) -> np.ndarray:
     x = tokens.reshape(b, t, h, w, geom.patch_t, geom.patch_h, geom.patch_w)
     x = x.transpose(0, 1, 4, 2, 5, 3, 6)
     return np.ascontiguousarray(x.reshape(b, geom.frames, geom.height, geom.width))
-
-
-def embed_patches(patches: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """Project flattened patches to embeddings: tokens @ w + b."""
-    return ad.linear(Tensor(patches), w, b)

@@ -1,5 +1,8 @@
-"""Shared miniature configurations for fast tests."""
+"""Shared miniature configurations and reference blocks for fast tests."""
 
+import math
+
+from mmtlab import autodiff as ad
 from mmtlab.model import ModelConfig
 from mmtlab.synthdata import SynthConfig
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
@@ -33,3 +36,44 @@ def micro_model_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def reference_attention(qkv, heads: int):
+    """Packed multi-head attention built from autodiff primitives.
+
+    Narrows q, k and v out of the (..., n, 3d) projection, splits heads
+    with reshape/transpose, then matmul/scale/softmax/matmul and merges the
+    heads back: the unfused composite that ``ad.multi_head_attention``
+    must reproduce bit for bit.
+    """
+    d = qkv.shape[-1] // 3
+    hd = d // heads
+
+    def split(t):
+        # (..., n, d) -> (..., heads, n, hd)
+        n = t.shape[-2]
+        r = ad.reshape(t, t.shape[:-2] + (n, heads, hd))
+        order = tuple(range(r.data.ndim))
+        return ad.transpose(r, order[:-3] + (order[-2], order[-3], order[-1]))
+
+    qh, kh, vh = (split(ad.narrow(qkv, -1, i * d, d)) for i in range(3))
+    nd = kh.data.ndim
+    kt = ad.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    att = ad.softmax(ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(hd)), axis=-1)
+    mixed = ad.matmul(att, vh)  # (..., heads, n, hd)
+    order = tuple(range(mixed.data.ndim))
+    merged = ad.transpose(mixed, order[:-3] + (order[-2], order[-3], order[-1]))
+    return ad.reshape(merged, qkv.shape[:-1] + (d,))
+
+
+def reference_block(p, prefix: str, x, heads: int, eps: float):
+    """``model.run_block`` built from autodiff primitives, without fused ops."""
+    h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
+    qkv = ad.linear(h, p[f"{prefix}.wqkv"], p[f"{prefix}.bqkv"])
+    att = ad.linear(reference_attention(qkv, heads), p[f"{prefix}.wo"])
+    x = ad.add(x, ad.add(att, p[f"{prefix}.bo"]))
+    h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
+    h = ad.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
+    h = ad.gelu(h)
+    h = ad.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
+    return ad.add(x, h)

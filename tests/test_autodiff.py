@@ -70,6 +70,25 @@ def test_layer_norm_shape_mismatch_raises():
         ad.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
+def test_layer_norm_in_place_matches_plain_expression_exactly():
+    rng = np.random.default_rng(13)
+    x, g = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 5, 8))
+    gain, bias = rng.standard_normal(8), rng.standard_normal(8)
+    xt, gt, bt = Tensor(x), Tensor(gain), Tensor(bias)
+    with Tape() as tape:
+        out = ad.layer_norm(xt, gt, bt)
+        tape.backward(ad.sum_(ad.mul(out, Tensor(g))))
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = xc * inv
+    gh = g * gain
+    dx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(out.data, xhat * gain + bias)
+    np.testing.assert_array_equal(xt.grad, dx)
+    np.testing.assert_array_equal(gt.grad, (g * xhat).sum(axis=(0, 1)))
+    np.testing.assert_array_equal(bt.grad, g.sum(axis=(0, 1)))
+
+
 def test_gelu_reference_points():
     # odd-symmetric-ish fixings: gelu(0)=0 and the tanh form at x=1
     out = ad.gelu(Tensor([0.0, 1.0, -1.0]))
@@ -81,17 +100,20 @@ def test_gelu_reference_points():
 
 
 def test_attention_head_count_must_divide():
-    q = Tensor(np.zeros((1, 4, 6)))
+    qkv = Tensor(np.zeros((1, 4, 18)))
     with pytest.raises(ConfigError):
-        ad.multi_head_attention(q, q, q, heads=4, w_out=Tensor(np.eye(6)))
+        ad.multi_head_attention(qkv, heads=4)
+
+
+def test_attention_rejects_unpacked_width():
+    with pytest.raises(DimensionError):
+        ad.multi_head_attention(Tensor(np.zeros((1, 4, 8))), heads=1)
 
 
 def test_attention_single_head_matches_manual_sdpa():
     rng = np.random.default_rng(0)
     q, k, v = (rng.standard_normal((1, 3, 4)) for _ in range(3))
-    out = ad.multi_head_attention(
-        Tensor(q), Tensor(k), Tensor(v), heads=1, w_out=Tensor(np.eye(4))
-    ).data
+    out = ad.multi_head_attention(Tensor(np.concatenate([q, k, v], axis=-1)), heads=1).data
     att = np.exp((q @ k.transpose(0, 2, 1)) / 2.0)
     att /= att.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(out, att @ v, atol=1e-12)
@@ -321,20 +343,41 @@ def test_gather_rows_forward_and_shape_guard():
         ad.gather_rows(a, np.array([0, 1]))
 
 
+_ATTENTION_GRID = [(1, (1, 3, 4)), (2, (2, 4, 8)), (4, (1, 5, 8))]
+
+
 def test_grad_attention_multi_head():
     rng = np.random.default_rng(10)
-    for heads, (b, n, d) in [(1, (1, 3, 4)), (2, (2, 4, 8)), (4, (1, 5, 8))]:
-        q = rng.standard_normal((b, n, d))
-        k = rng.standard_normal((b, n, d))
-        v = rng.standard_normal((b, n, d))
-        w = rng.standard_normal((d, d))
+    for heads, (b, n, d) in _ATTENTION_GRID:
+        qkv = rng.standard_normal((b, n, 3 * d))
+        w = rng.standard_normal((b, n, d))  # weights outputs unevenly, as a downstream projection would
         _check(
-            lambda q_, k_, v_, w_: ad.mean(
-                ad.multi_head_attention(q_, k_, v_, heads=heads, w_out=w_)
-            ),
-            [q, k, v, w],
+            lambda t: ad.mean(ad.mul(ad.multi_head_attention(t, heads=heads), Tensor(w))),
+            [qkv],
             tol=1e-4,
         )
+
+
+def test_grad_mlp():
+    rng = np.random.default_rng(12)
+    for _, (b, n, d) in _ATTENTION_GRID:
+        x = rng.standard_normal((b, n, d))
+        w1 = rng.standard_normal((d, 2 * d))
+        b1 = rng.standard_normal(2 * d)
+        w2 = rng.standard_normal((2 * d, d))
+        b2 = rng.standard_normal(d)
+        w = rng.standard_normal((b, n, d))
+        _check(
+            lambda *args: ad.mean(ad.mul(ad.mlp(*args), Tensor(w))),
+            [x, w1, b1, w2, b2],
+            tol=1e-4,
+        )
+
+
+def test_mlp_rejects_mismatched_widths():
+    x, w1, b1 = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 8))), Tensor(np.zeros(8))
+    with pytest.raises(DimensionError):
+        ad.mlp(x, w1, b1, Tensor(np.zeros((6, 4))), Tensor(np.zeros(4)))
 
 
 def test_grad_cross_entropy():

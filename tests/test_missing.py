@@ -8,7 +8,6 @@ from mmtlab.missing import (
     MmtBank,
     SubstitutionMethod,
     TrainMissingPolicy,
-    mmt_gradient_mask_check,
     random_replace,
     replace_with_mmt,
     substitute_skip,
@@ -80,6 +79,36 @@ def test_gradients_respect_the_swap():
     assert np.all(content.grad[replace] == 0.0)
     assert np.abs(content.grad[~replace]).max() > 0.0
     assert np.abs(bank["video"].grad).max() > 0.0
+
+
+def mmt_gradient_mask_check(batch: int = 6, tokens: int = 5, dim: int = 8, seed: int = 0) -> dict:
+    """Measure gradient leakage across the substitution boundary.
+
+    Returns the largest gradient magnitude reaching (a) replaced content
+    rows and (b) the token when nothing was replaced. Both must be exactly
+    zero: substitution is a hard swap, not an interpolation.
+    """
+    rng = np.random.default_rng(seed)
+    bank = MmtBank.init(dim, seed=seed, modalities=("audio",))
+    replace = np.zeros(batch, dtype=bool)
+    replace[:: 2] = True
+
+    content = Tensor(rng.standard_normal((batch, tokens, dim)))
+    with Tape() as tape:
+        out = replace_with_mmt(bank, "audio", content, replace)
+        loss = ad.mean(ad.mul(out, Tensor(rng.standard_normal(out.shape))))
+        tape.backward(loss)
+    leak_content = float(np.abs(content.grad[replace]).max())
+
+    bank2 = MmtBank.init(dim, seed=seed, modalities=("audio",))
+    content2 = Tensor(rng.standard_normal((batch, tokens, dim)))
+    with Tape() as tape:
+        out = replace_with_mmt(bank2, "audio", content2, np.zeros(batch, dtype=bool))
+        loss = ad.mean(ad.mul(out, Tensor(rng.standard_normal(out.shape))))
+        tape.backward(loss)
+    g = bank2["audio"].grad
+    leak_token = 0.0 if g is None else float(np.abs(g).max())
+    return {"replaced_content_grad": leak_content, "idle_token_grad": leak_token}
 
 
 def test_gradient_leak_check_reports_zero():

@@ -14,10 +14,13 @@ from mmtlab.model import (
     forward,
     forward_full_sa,
     load_checkpoint,
+    run_block,
     save_checkpoint,
     unimodal_forward,
 )
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
+
+from helpers import reference_block
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -234,6 +237,40 @@ def test_gradients_reach_every_parameter_when_fused():
     assert missing == []
 
 
+@pytest.mark.parametrize(
+    "heads, shape, ratio", [(1, (1, 3, 4), 2), (2, (2, 5, 8), 2), (4, (64, 37, 32), 4)]
+)
+def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio):
+    # the fused attention and MLP ops must reproduce the composite exactly,
+    # forward and every gradient, so fusing changes no trained weight
+    rng = np.random.default_rng(22)
+    d = shape[-1]
+    widths = {
+        "ln1.g": (d,), "ln1.b": (d,), "wqkv": (d, 3 * d), "bqkv": (3 * d,),
+        "wo": (d, d), "bo": (d,), "ln2.g": (d,), "ln2.b": (d,),
+        "mlp.w1": (d, ratio * d), "mlp.b1": (ratio * d,),
+        "mlp.w2": (ratio * d, d), "mlp.b2": (d,),
+    }
+    arrays = {f"blk.{k}": 0.3 * rng.standard_normal(s) for k, s in widths.items()}
+    x0 = rng.standard_normal(shape)
+    w = rng.standard_normal(shape)
+
+    def run(block):
+        p = {k: Tensor(v.copy()) for k, v in arrays.items()}
+        x = Tensor(x0.copy())
+        with Tape() as tape:
+            out = block(p, "blk", x, heads, 1e-5)
+            tape.backward(ad.mean(ad.mul(out, Tensor(w))))
+        return out.data, x.grad, {k: t.grad for k, t in p.items()}
+
+    out, gx, grads = run(run_block)
+    ref_out, ref_gx, ref_grads = run(reference_block)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(gx, ref_gx)
+    for name in arrays:
+        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+
 def test_unimodal_leaves_other_stack_untouched():
     cfg = tiny_config()
     p = MbtParameters.init(cfg, seed=12)
@@ -340,6 +377,15 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[: len(blob) - 10])
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(p))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, bad):
+    arrays = {"good": np.ones(3), "layers.0.wqkv": np.array([[1.0, bad], [0.0, 2.0]])}
+    p = tmp_path / "nan.ckpt"
+    save_checkpoint(str(p), arrays, {}, stage="finetune")
+    with pytest.raises(CheckpointError, match="layers.0.wqkv"):
         load_checkpoint(str(p))
 
 

@@ -147,6 +147,15 @@ def test_random_model_scores_chance(setup):
     assert abs(res["per_head"][1] - 1 / 3) < 0.15
 
 
+def test_non_finite_logits_raise_instead_of_scoring(setup):
+    ds, params, bank = setup
+    arrays = params.as_arrays()
+    arrays["audio.head.0.b"] = np.array([0.0, np.nan, 0.0, 0.0])
+    broken = MbtParameters.from_arrays(params.config, arrays)
+    with pytest.raises(FloatingPointError):
+        evaluate(broken, bank, ds, no_missing(ds), SubstitutionMethod.MMT)
+
+
 def test_methods_agree_when_nothing_is_missing(setup):
     ds, params, bank = setup
     results = [
