@@ -4,9 +4,11 @@ Below the fusion layer each modality runs its own encoder stack. From
 the fusion layer on, every block also sees a handful of shared
 bottleneck tokens; those tokens are the only cross-modal channel. The
 demo isolates that channel behaviorally, counts how much attention the
-bottleneck saves over full self-attention, and runs both modes on the
-same inputs.
+bottleneck saves over full self-attention, and runs both archs on the
+same inputs and weights: ``ModelConfig.arch`` picks the forward pass.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from mmtlab.model import (
     attention_pairs,
     embed_content,
     forward,
-    forward_full_sa,
 )
 from mmtlab.synthdata import SynthConfig, generate
 
@@ -62,10 +63,10 @@ print(f"\nattention pairs over {cfg.layers} layers: bottleneck {bn}, "
 print(f"per fused layer: (1+16+{cfg.bottleneck})^2 + (1+32+{cfg.bottleneck})^2 "
       f"vs one (1+16+1+32)^2 sequence")
 
-# --- both modes produce head-shaped logits on the same inputs ------------
+# --- both archs produce head-shaped logits on the same inputs ------------
 p = MbtParameters.init(cfg, seed=0)
 content = {m: embed_content(p, m, ds.patches(m)) for m in ("audio", "video")}
 mbt_logits = forward(p, content)
-sa_logits = forward_full_sa(p, content)
+sa_logits = forward(MbtParameters(replace(cfg, arch="full_sa"), p.tensors), content)
 for h, (a, b) in enumerate(zip(mbt_logits, sa_logits)):
     print(f"head {h}: bottleneck logits {a.shape}, full-SA logits {b.shape}")

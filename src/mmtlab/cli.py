@@ -1,11 +1,17 @@
-"""Command-line front end: data, pretraining, training, evaluation, reports.
+"""Command-line front end: pretraining, training, evaluation, sweeps, reports.
 
 Every command takes a JSON config (file path or shipped preset name),
 resolves it against desk-scale defaults, and writes its artifacts into
 one output directory: the resolved config, checkpoints, logs, metrics,
-and a manifest of content hashes. Reruns with identical inputs leave
+and a manifest of content hashes. Data is never stored: every command
+regenerates its split from the seed. Reruns with identical inputs leave
 identical bytes behind, which is what makes sweeps resumable and runs
 comparable.
+
+``eval`` and ``sweep`` fill ``metrics.csv`` the same way, through
+:func:`mmtlab.protocol.sweep` and one per-cell scorer; the forward pass is
+the arch stored in each checkpoint's model config, so a model is scored
+the way it was trained.
 
 Failures print a one-line JSON error record to stderr and exit nonzero.
 ``MMTLAB_THREADS`` caps how many sweep cells train in parallel
@@ -23,15 +29,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, check_data_compat, load_run_config, preset_path
+from .config import RunConfig, check_data_compat, check_feasible_rates, load_run_config, preset_path
 from .errors import CheckpointError, ConfigError, MmtlabError, SchemaError
 from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, transfer_encoder
 from .missing import MmtBank, SubstitutionMethod
 from .model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
+from .optim import FitResult
 from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_manifest
 from .report import render_svg, render_text
-from .synthdata import generate, save_dataset
-from .training import TrainConfig, train
+from .synthdata import SynthDataset, generate
+from .training import train
 
 log = logging.getLogger("mmtlab")
 
@@ -81,11 +88,23 @@ def _load_finetune(path: str):
     rest = {k: v for k, v in arrays.items() if not k.startswith("mmt.")}
     params = MbtParameters.from_arrays(mcfg, rest)
     bank = MmtBank.from_arrays(mcfg.embed_dim, mmt) if mmt else None
-    return params, bank, ckpt_cfg
+    return params, bank
 
 
-def _train_one(cfg: RunConfig, ckpt_path: Path, pretrained: str | None) -> dict:
-    """Train a classifier into ``ckpt_path``; returns the history log."""
+def _write_fit_log(path: Path, result: FitResult) -> None:
+    """The byte-stable record of a fit: per-epoch history, steps, samples."""
+    with open(path, "w") as f:
+        json.dump(
+            {"history": result.history, "steps": result.steps, "kept": result.kept},
+            f,
+            indent=2,
+            sort_keys=True,
+        )
+        f.write("\n")
+
+
+def _train_one(cfg: RunConfig, out: Path, pretrained: str | None) -> None:
+    """Train a classifier into ``out``/model.ckpt and ``out``/train_log.json."""
     ds = generate(cfg.synth, cfg.seed, cfg.n_train, split="train")
     if pretrained:
         pre_params, _ = load_pretrained(pretrained)
@@ -96,59 +115,37 @@ def _train_one(cfg: RunConfig, ckpt_path: Path, pretrained: str | None) -> dict:
     result = train(params, bank, ds, cfg.train, cfg.seed)
     arrays = {**params.as_arrays(), **bank.as_arrays()}
     ckpt_cfg = {"model": cfg.model.to_dict(), "train": cfg.train.to_dict()}
-    save_checkpoint(str(ckpt_path), arrays, ckpt_cfg, stage="finetune")
+    save_checkpoint(str(out / "model.ckpt"), arrays, ckpt_cfg, stage="finetune")
+    _write_fit_log(out / "train_log.json", result)
     log.info(
         "trained %d samples for %d steps, final loss %.4f",
         result.kept,
         result.steps,
         result.history[-1]["loss"],
     )
-    return {"history": result.history, "steps": result.steps, "kept": result.kept}
 
 
-def _eval_into_table(
+def _score_cell(
     cfg: RunConfig,
     params: MbtParameters,
     bank: MmtBank | None,
+    ds: SynthDataset,
     method: SubstitutionMethod,
-    rates_pct: list[float],
-    table: MetricsTable,
-    label: str | None = None,
-) -> None:
-    """Evaluate one model over the rate grid, adding any absent rows."""
-    label = label or method.value
-    ds = generate(cfg.synth, cfg.seed, cfg.n_test, split="test")
-    variants = make_test_variants(
-        ds.missing[cfg.eval_missing], [r / 100.0 for r in rates_pct], cfg.seed
-    )
-    arch = "full_sa" if params.config.fusion_mode == "full_sa" else "bottleneck"
-    names = params.config.head_names
-    for r in rates_pct:
-        if all(table.has(label, r, h, cfg.seed) for h in names):
-            continue
-        missing = dict(ds.missing)
-        missing[cfg.eval_missing] = variants[r / 100.0]
-        res = evaluate(params, bank, ds, missing, method, arch=arch)
-        for h, name in enumerate(names):
-            if not table.has(label, r, name, cfg.seed):
-                table.add(label, r, name, cfg.seed, res["per_head"][h], res["n"])
-        log.info("eval %s at r_test=%g%%: mean accuracy %.4f", label, r, res["mean"])
+    r_test: float,
+) -> dict:
+    """One cell of :func:`sweep`: accuracy per head of one model on the
+    test split ``ds``, with ``cfg.eval_missing`` missing at ``r_test``
+    percent under the schedule of the split's seed."""
+    rate = r_test / 100.0
+    variants = make_test_variants(ds.missing[cfg.eval_missing], [rate], ds.seed)
+    missing = {**ds.missing, cfg.eval_missing: variants[rate]}
+    res = evaluate(params, bank, ds, missing, method)
+    log.info("eval at r_test=%g%%, seed %d: mean accuracy %.4f", r_test, ds.seed, res["mean"])
+    return {name: (res["per_head"][h], res["n"]) for h, name in enumerate(params.config.head_names)}
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def cmd_gen_data(args) -> int:
-    cfg = _resolve(args)
-    check_data_compat(cfg)
-    out = _prepare_out(cfg)
-    for split, n in (("train", cfg.n_train), ("test", cfg.n_test)):
-        ds = generate(cfg.synth, cfg.seed, n, split=split)
-        save_dataset(str(out / f"{split}.mmtdata"), ds)
-        log.info("wrote %d %s samples", n, split)
-    _write_run_manifest(out, "gen-data")
-    return 0
 
 
 def cmd_pretrain(args) -> int:
@@ -160,14 +157,7 @@ def cmd_pretrain(args) -> int:
     dec = MaeDecoders.init(cfg.model, cfg.mae, cfg.seed)
     result = mae_train(params, dec, ds, cfg.mae, cfg.seed)
     save_pretrained(str(out / "pretrain.ckpt"), params, dec)
-    with open(out / "pretrain_log.json", "w") as f:
-        json.dump(
-            {"history": result.history, "steps": result.steps, "kept": result.kept},
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    _write_fit_log(out / "pretrain_log.json", result)
     log.info("pretrained on %d samples, final loss %.4f", result.kept, result.history[-1]["loss"])
     _write_run_manifest(out, "pretrain")
     return 0
@@ -177,10 +167,7 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     check_data_compat(cfg)
     out = _prepare_out(cfg)
-    log_payload = _train_one(cfg, out / "model.ckpt", args.checkpoint)
-    with open(out / "train_log.json", "w") as f:
-        json.dump(log_payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _train_one(cfg, out, args.checkpoint)
     _write_run_manifest(out, "train")
     return 0
 
@@ -188,15 +175,24 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
     check_data_compat(cfg)
-    out = _prepare_out(cfg)
-    ckpt = args.checkpoint or str(out / "model.ckpt")
-    params, bank, _ = _load_finetune(ckpt)
     method = SubstitutionMethod.parse(args.method or cfg.eval_method)
     rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval_rates)
+    check_feasible_rates(cfg, "--rtest", rates, cfg.n_test)
+    out = _prepare_out(cfg)
+    params, bank = _load_finetune(args.checkpoint or str(out / "model.ckpt"))
+    ds = generate(cfg.synth, cfg.seed, cfg.n_test, split="test")
+    cells = [
+        {"method": method.value, "r_test": r, "seed": cfg.seed, "heads": params.config.head_names}
+        for r in rates
+    ]
     metrics_path = out / "metrics.csv"
     table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
-    _eval_into_table(cfg, params, bank, method, rates, table)
-    table.save(str(metrics_path))
+    sweep(
+        cells,
+        lambda cell: _score_cell(cfg, params, bank, ds, method, cell["r_test"]),
+        table,
+        str(metrics_path),
+    )
     _write_run_manifest(out, "eval")
     return 0
 
@@ -205,20 +201,15 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "p":
         targets = tuple(cfg.train.replace_probs) or (cfg.eval_missing,)
         probs = {m: value for m in targets}
-        return replace(cfg, train=_patch_train(cfg.train, replace_probs=probs))
+        return replace(cfg, train=replace(cfg.train, replace_probs=probs))
     if axis == "fusion_layer":
         if value != int(value):
             raise ConfigError(f"fusion_layer grid values must be integers, got {value}")
-        model = ModelConfig.from_dict({**cfg.model.to_dict(), "fusion_layer": int(value)})
-        return replace(cfg, model=model)
+        return replace(cfg, model=replace(cfg.model, fusion_layer=int(value)))
     if axis == "r_train":
         induced = {cfg.eval_missing: value / 100.0}
-        return replace(cfg, train=_patch_train(cfg.train, induced_missing=induced))
+        return replace(cfg, train=replace(cfg.train, induced_missing=induced))
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
-def _patch_train(tcfg: TrainConfig, **changes) -> TrainConfig:
-    return TrainConfig.from_dict({**tcfg.to_dict(), **changes})
 
 
 def _cell_dir(out: Path, axis: str, value: float, seed: int) -> Path:
@@ -239,10 +230,7 @@ def _ensure_cell_model(out: str, cfg_dict: dict, axis: str, value: float, seed: 
     if not ckpt.exists():
         cfg = replace(cfg, out=str(cell))
         cfg.save(str(cell / "config.json"))
-        payload = _train_one(cfg, ckpt, pretrained=None)
-        with open(cell / "train_log.json", "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _train_one(cfg, cell, pretrained=None)
     return str(ckpt)
 
 
@@ -254,9 +242,11 @@ def cmd_sweep(args) -> int:
     grid = _parse_rates(args.grid)
     if not grid:
         raise ConfigError("--grid must list at least one value")
+    for value in grid:  # reject a bad grid before any cell trains
+        _apply_axis(cfg, axis, value)
+    if axis == "r_train":
+        check_feasible_rates(cfg, "--grid", grid, cfg.n_train)
     method = SubstitutionMethod.parse(cfg.eval_method)
-    rates = list(cfg.eval_rates)
-    names = cfg.model.head_names
 
     pending = [
         (str(out), cfg.to_json_dict(), axis, value, seed)
@@ -279,12 +269,12 @@ def cmd_sweep(args) -> int:
             "method": f"{method.value}|{axis}={value:g}",
             "r_test": r,
             "seed": seed,
-            "heads": names,
+            "heads": cfg.model.head_names,
             "value": value,
         }
         for value in grid
         for seed in cfg.seeds
-        for r in rates
+        for r in cfg.eval_rates
     ]
 
     loaded: dict[tuple, tuple] = {}
@@ -292,21 +282,10 @@ def cmd_sweep(args) -> int:
     def run_cell(cell):
         key = (cell["value"], cell["seed"])
         if key not in loaded:
-            ckpt = _cell_dir(out, axis, cell["value"], cell["seed"]) / "model.ckpt"
-            loaded[key] = _load_finetune(str(ckpt))[:2]
-        params, bank = loaded[key]
-        cell_cfg = _apply_axis(
-            load_run_config(cfg.to_json_dict(), {"seed": cell["seed"]}), axis, cell["value"]
-        )
-        ds = generate(cell_cfg.synth, cell_cfg.seed, cell_cfg.n_test, split="test")
-        variants = make_test_variants(
-            ds.missing[cell_cfg.eval_missing], [cell["r_test"] / 100.0], cell_cfg.seed
-        )
-        missing = dict(ds.missing)
-        missing[cell_cfg.eval_missing] = variants[cell["r_test"] / 100.0]
-        arch = "full_sa" if params.config.fusion_mode == "full_sa" else "bottleneck"
-        res = evaluate(params, bank, ds, missing, method, arch=arch)
-        return {name: (res["per_head"][h], res["n"]) for h, name in enumerate(names)}
+            loaded[key] = _load_finetune(str(_cell_dir(out, axis, *key) / "model.ckpt"))
+        # the axis changes neither the generator nor the eval settings
+        ds = generate(cfg.synth, cell["seed"], cfg.n_test, split="test")
+        return _score_cell(cfg, *loaded[key], ds, method, cell["r_test"])
 
     sweep(cells, run_cell, table, str(metrics_path))
     _write_run_manifest(out, "sweep")
@@ -360,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("gen-data", help="write train/test dataset files"))
     _add_common(sub.add_parser("pretrain", help="masked-autoencoder pretraining"))
     _add_common(sub.add_parser("train", help="supervised training"), with_checkpoint=True)
 
@@ -381,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "gen-data": cmd_gen_data,
     "pretrain": cmd_pretrain,
     "train": cmd_train,
     "eval": cmd_eval,

@@ -57,6 +57,7 @@ class RunConfig:
                 raise ConfigError(f"eval rate {r} outside [0, 100] percent")
         if not self.seeds:
             raise ConfigError("need at least one sweep seed")
+        check_feasible_rates(self, "eval.rates", self.eval_rates, self.n_test)
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,6 +80,24 @@ class RunConfig:
         with open(path, "w") as f:
             json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+def check_feasible_rates(cfg: RunConfig, what: str, rates_pct, n: int) -> None:
+    """Reject percent rates of ``eval_missing`` below its natural rate.
+
+    Uses the generator's and the schedules' own arithmetic: ``int(rate *
+    n)`` samples are missing at a rate, and ``int(natural * n)`` of them
+    are absent in the data already, which no schedule can restore.
+    """
+    natural = cfg.synth.natural_missing.get(cfg.eval_missing, 0.0)
+    floor = int(natural * n)
+    for r in rates_pct:
+        if int(r / 100.0 * n) < floor:
+            raise ConfigError(
+                f"{what}: {r:g}% of {n} samples is {int(r / 100.0 * n)}, below the "
+                f"{floor} with {cfg.eval_missing} naturally absent ({natural:.0%}); "
+                f"rates must start at the natural rate"
+            )
 
 
 _TOP_KEYS = {"synth", "model", "train", "mae", "data", "eval", "seed", "seeds", "out"}

@@ -14,27 +14,26 @@ at fine-tuning time, which replaces content before encoding.
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, DataError
 from .missing import MmtBank
 from .model import (
-    _DECAY_SUFFIXES,
     MODALITIES,
     MbtParameters,
     ModelConfig,
+    ParamSet,
     encode_sequences,
     load_checkpoint,
+    reject_unknown_keys,
     run_block,
     save_checkpoint,
 )
-from .optim import AdamW
+from .optim import FitResult, fit
 from .rng import Stream
 from .synthdata import SynthDataset
 
@@ -94,15 +93,8 @@ class MaeConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaeConfig":
+        reject_unknown_keys(cls, d)
         return cls(**d)
-
-
-@dataclass
-class MaeResult:
-    history: list  # per-epoch {"epoch", "loss", "lr"}
-    steps: int
-    kept: int  # modal-complete samples used
-    seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +140,17 @@ def _is_encoder_name(name: str) -> bool:
     )
 
 
-class MaeDecoders:
+@dataclass(eq=False)
+class MaeDecoders(ParamSet):
     """Per-modality reconstruction decoders, unshared across modalities.
 
     Names live under "{modality}.dec.*" so they never collide with
     encoder names when both go into one checkpoint.
     """
 
-    def __init__(self, config: ModelConfig, mae: MaeConfig, tensors: dict[str, Tensor]):
-        self.config = config
-        self.mae = mae
-        self.tensors = tensors
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def parameter_list(self) -> list[Tensor]:
-        return [self.tensors[k] for k in sorted(self.tensors)]
-
-    def no_decay_ids(self) -> frozenset[int]:
-        return frozenset(
-            id(t) for name, t in self.tensors.items()
-            if not name.endswith(_DECAY_SUFFIXES)
-        )
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data for k, t in self.tensors.items()}
+    config: ModelConfig
+    mae: MaeConfig
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, config: ModelConfig, mae: MaeConfig, seed: int) -> "MaeDecoders":
@@ -209,26 +186,6 @@ class MaeDecoders:
             t[f"{m}.dec.head.w"] = normal(dd, pd)
             t[f"{m}.dec.head.b"] = Tensor(np.zeros(pd))
         return cls(config, mae, t)
-
-    @classmethod
-    def from_arrays(
-        cls, config: ModelConfig, mae: MaeConfig, arrays: dict[str, np.ndarray]
-    ) -> "MaeDecoders":
-        template = cls.init(config, mae, seed=0)
-        missing = set(template.tensors) - set(arrays)
-        extra = set(arrays) - set(template.tensors)
-        if missing or extra:
-            raise CheckpointError(
-                f"decoder names do not match config (missing {sorted(missing)[:4]}, "
-                f"unexpected {sorted(extra)[:4]})"
-            )
-        out = {}
-        for name, ref in template.tensors.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != ref.shape:
-                raise CheckpointError(f"{name}: shape {arr.shape} != {ref.shape}")
-            out[name] = Tensor(arr)
-        return cls(config, mae, out)
 
 
 # ---------------------------------------------------------------------------
@@ -347,53 +304,24 @@ def mae_train(
     ds: SynthDataset,
     cfg: MaeConfig,
     seed: int,
-) -> MaeResult:
+) -> FitResult:
     """Pretrain encoder and decoders; heads and readout norms never move.
 
     Modal-incomplete samples are dropped: their absent modality is all
     zeros, which would turn reconstruction into memorizing a constant.
+    ``kept`` counts the modal-complete samples used.
     """
-    started = time.time()
     ids = np.flatnonzero(ds.complete_mask())
     if len(ids) == 0:
         raise DataError("no modal-complete samples to pretrain on")
-    n = len(ids)
-
-    plist = params.parameter_list() + dec.parameter_list()
-    no_decay = params.no_decay_ids() | dec.no_decay_ids()
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    opt = AdamW(
-        plist,
-        base_lr=cfg.base_lr,
-        warmup_steps=min(max(1, int(cfg.warmup_frac * total_steps)), total_steps - 1),
-        total_steps=total_steps,
-        weight_decay=cfg.weight_decay,
-        no_decay=frozenset(no_decay),
-    )
-
-    order_stream = Stream(seed, "batch-order")
     mask_rng = Stream(seed, "mae-mask").numpy_rng()
-    history = []
-    for epoch in range(cfg.epochs):
-        perm = list(range(n))
-        order_stream.shuffle(perm)
-        perm = np.asarray(perm)
-        epoch_loss = 0.0
-        lr = opt.lr
-        for lo in range(0, n, cfg.batch_size):
-            batch_ids = ids[perm[lo : lo + cfg.batch_size]]
-            batch_patches = {m: ds.patches(m)[batch_ids] for m in MODALITIES}
-            with Tape() as tape:
-                loss, _ = mae_step(params, dec, cfg, batch_patches, rng=mask_rng)
-                tape.backward(loss)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite reconstruction loss at epoch {epoch}")
-            lr = opt.step()
-            opt.zero_grad()
-            epoch_loss += float(loss.data) * len(batch_ids)
-        history.append({"epoch": epoch, "loss": epoch_loss / n, "lr": lr})
-    return MaeResult(history, total_steps, n, time.time() - started)
+
+    def batch_loss(sel, span):
+        batch_patches = {m: ds.patches(m)[ids[sel]] for m in MODALITIES}
+        loss, _ = mae_step(params, dec, cfg, batch_patches, rng=mask_rng)
+        return loss
+
+    return fit([params, dec], len(ids), cfg, seed, batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +351,11 @@ def transfer_encoder(
     """Fresh fine-tuning parameters with the pretrained encoder copied in.
 
     The decoder is left behind; classifier heads, readout norms, and the
-    substitution-token bank start fresh from ``seed``.
+    substitution-token bank start fresh from ``seed``. The arch may differ:
+    every arch has the same parameters, and pretraining always encodes
+    through the bottleneck.
     """
-    if pretrained.config.to_dict() != config.to_dict():
+    if replace(pretrained.config, arch=config.arch) != config:
         raise CheckpointError(
             "pretrained encoder architecture does not match the requested config"
         )

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
-from .model import MODALITIES
+from .model import MODALITIES, ParamSet
 from .rng import Stream
 
 
@@ -46,12 +46,13 @@ class SubstitutionMethod(enum.Enum):
             ) from None
 
 
-class MmtBank:
-    """Learned substitution vectors, one per modality that can go missing."""
+@dataclass(eq=False)
+class MmtBank(ParamSet):
+    """Learned substitution vectors "mmt.<modality>", one per modality that
+    can go missing. Indexing takes the modality name."""
 
-    def __init__(self, dim: int, tensors: dict[str, Tensor]):
-        self.dim = dim
-        self.tensors = tensors
+    dim: int
+    tensors: dict[str, Tensor]
 
     def __getitem__(self, modality: str) -> Tensor:
         try:
@@ -59,28 +60,10 @@ class MmtBank:
         except KeyError:
             raise ConfigError(f"no substitution token for modality {modality!r}") from None
 
-    def parameter_list(self) -> list[Tensor]:
-        return [self.tensors[k] for k in sorted(self.tensors)]
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data for k, t in self.tensors.items()}
-
     @classmethod
     def init(cls, dim: int, seed: int, modalities=MODALITIES) -> "MmtBank":
         rng = Stream(seed, "mmt-init").numpy_rng()
         return cls(dim, {f"mmt.{m}": Tensor(rng.normal(0.0, 0.02, size=dim)) for m in modalities})
-
-    @classmethod
-    def from_arrays(cls, dim: int, arrays: dict[str, np.ndarray]) -> "MmtBank":
-        tensors = {}
-        for name, arr in arrays.items():
-            if not name.startswith("mmt."):
-                raise ConfigError(f"{name!r} is not a substitution-token name")
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != (dim,):
-                raise DimensionError(f"{name}: shape {arr.shape} != ({dim},)")
-            tensors[name] = Tensor(arr)
-        return cls(dim, tensors)
 
 
 def replace_with_mmt(

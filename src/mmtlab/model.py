@@ -12,9 +12,12 @@ Readout takes each modality's CLS vector through a per-modality linear head
 for every classification task and averages the logits over the modalities
 that took part.
 
-A plain concatenated-sequence variant (:func:`forward_full_sa`) is kept for
-cost and accuracy comparisons; it shares one stack over all tokens from the
-fusion layer upward instead of exchanging bottlenecks.
+``ModelConfig.arch`` names the forward pass, and :func:`forward` is the one
+place that dispatches on it. Besides ``bottleneck`` there are the paper's
+comparison baselines: ``full_sa`` joins the sequences from the fusion layer
+up and runs one shared stack over every token, and ``unimodal:audio`` /
+``unimodal:video`` run a single modality's full stack. Every arch has the
+same parameter set, so a checkpoint's config alone says how to evaluate it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,9 +33,16 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, DimensionError
 from .rng import Stream
-from .tokenizer import SpectrogramGeometry, VideoGeometry
+from .tokenizer import MODALITIES, SpectrogramGeometry, VideoGeometry
 
-MODALITIES = ("audio", "video")
+ARCHS = ("bottleneck", "full_sa", "unimodal:audio", "unimodal:video")
+
+
+def reject_unknown_keys(cls, d: dict) -> None:
+    """A saved config with keys ``cls`` lacks was written by another version."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CheckpointError(f"saved {cls.__name__} has unknown keys {unknown}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,7 @@ class ModelConfig:
     bottleneck: int = 4
     n_classes: tuple[int, ...] = (4, 3)
     head_names: tuple[str, ...] = ("A", "B")
-    fusion_mode: str = "bottleneck"
+    arch: str = "bottleneck"
     ln_eps: float = 1e-5
 
     def __post_init__(self):
@@ -65,8 +75,15 @@ class ModelConfig:
             raise ConfigError("every classification head needs at least two classes")
         if len(self.head_names) != len(self.n_classes):
             raise ConfigError("head_names must match n_classes in length")
-        if self.fusion_mode not in ("bottleneck", "full_sa"):
-            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
+        if self.arch not in ARCHS:
+            raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
+
+    @property
+    def input_modalities(self) -> tuple[str, ...]:
+        """The modalities this arch reads; the others are never embedded."""
+        if self.arch.startswith("unimodal:"):
+            return (self.arch.removeprefix("unimodal:"),)
+        return MODALITIES
 
     def tokens(self, modality: str) -> int:
         return self.geometry(modality).tokens
@@ -89,6 +106,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of :meth:`to_dict`, as read back from a checkpoint."""
+        reject_unknown_keys(cls, d)
         d = dict(d)
         d["audio"] = SpectrogramGeometry(**d["audio"])
         d["video"] = VideoGeometry(**d["video"])
@@ -114,17 +133,17 @@ class ModelConfig:
 _DECAY_SUFFIXES = (".w", ".w1", ".w2", ".wqkv", ".wo")
 
 
-class MbtParameters:
-    """Named parameter tensors for one model instance.
+class ParamSet:
+    """Named parameter tensors, the one container every trainable set uses.
 
-    Names are dotted paths ("audio.layers.2.wqkv", "z", ...) so the set can
-    be checkpointed flat and partially transplanted (encoder transfer after
-    pretraining matches on name prefixes).
+    A subclass is a dataclass whose fields are the arguments of its
+    ``init(..., seed)`` followed by ``tensors``, the name -> Tensor map.
+    Names are dotted paths ("audio.layers.2.wqkv", "z", ...) so sets can
+    share one flat checkpoint and be partially transplanted (encoder
+    transfer after pretraining matches on name prefixes).
     """
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
-        self.config = config
-        self.tensors = tensors
+    tensors: dict[str, Tensor]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -134,8 +153,8 @@ class MbtParameters:
 
     def no_decay_ids(self) -> frozenset[int]:
         """Weight decay applies to linear weights only; everything else
-        (gains, biases, positional tables, class and bottleneck tokens) is
-        exempt."""
+        (gains, biases, positional tables, class, bottleneck and
+        substitution tokens) is exempt."""
         return frozenset(
             id(t) for name, t in self.tensors.items()
             if not name.endswith(_DECAY_SUFFIXES)
@@ -143,6 +162,38 @@ class MbtParameters:
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {k: t.data for k, t in self.tensors.items()}
+
+    @classmethod
+    def from_arrays(cls, *args):
+        """``from_arrays(*init_args, arrays)``: rebuild a set from saved arrays.
+
+        The names and shapes must match what ``init`` makes for the same
+        arguments; anything else is a checkpoint that does not fit.
+        """
+        *spec, arrays = args
+        template = cls.init(*spec, seed=0).tensors
+        missing = set(template) - set(arrays)
+        extra = set(arrays) - set(template)
+        if missing or extra:
+            raise CheckpointError(
+                f"{cls.__name__} names do not match config (missing {sorted(missing)[:4]}, "
+                f"unexpected {sorted(extra)[:4]})"
+            )
+        out = {}
+        for name, ref in template.items():
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != ref.shape:
+                raise CheckpointError(f"{name}: shape {arr.shape} != expected {ref.shape}")
+            out[name] = Tensor(arr)
+        return cls(*spec, out)
+
+
+@dataclass(eq=False)
+class MbtParameters(ParamSet):
+    """The classifier's parameters; the same names for every arch."""
+
+    config: ModelConfig
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "MbtParameters":
@@ -180,24 +231,6 @@ class MbtParameters:
                 t[f"{m}.head.{h}.b"] = Tensor(np.zeros(n_cls))
         t["z"] = normal(config.bottleneck, d)
         return cls(config, t)
-
-    @classmethod
-    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "MbtParameters":
-        template = cls.init(config, seed=0)
-        missing = set(template.tensors) - set(arrays)
-        extra = set(arrays) - set(template.tensors)
-        if missing or extra:
-            raise CheckpointError(
-                f"parameter names do not match config (missing {sorted(missing)[:4]}, "
-                f"unexpected {sorted(extra)[:4]})"
-            )
-        out = {}
-        for name, ref in template.tensors.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != ref.shape:
-                raise CheckpointError(f"{name}: shape {arr.shape} != expected {ref.shape}")
-            out[name] = Tensor(arr)
-        return cls(config, out)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +300,13 @@ def _readout(p: MbtParameters, feats: dict[str, Tensor]) -> list[Tensor]:
     return logits
 
 
+def _run_stacks(p: MbtParameters, x: dict[str, Tensor], layers: range) -> dict[str, Tensor]:
+    """Each modality through its own blocks at ``layers``, no exchange."""
+    for l in layers:
+        x = {m: _block(p, f"{m}.layers.{l}", x[m]) for m in x}
+    return x
+
+
 def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor]:
     """Run the modality stacks with bottleneck exchange on built sequences.
 
@@ -282,8 +322,7 @@ def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor
     x = {m: x[m] for m in present}
     batch = x[present[0]].shape[0]
 
-    for l in range(min(cfg.fusion_layer, cfg.layers)):
-        x = {m: _block(p, f"{m}.layers.{l}", x[m]) for m in present}
+    x = _run_stacks(p, x, range(min(cfg.fusion_layer, cfg.layers)))
 
     if cfg.fusion_layer < cfg.layers:
         z = ad.broadcast_to(
@@ -306,24 +345,7 @@ def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor
     return x
 
 
-def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
-    """Bottleneck-fusion forward over the modalities present in ``content``.
-
-    ``content`` maps modality name to (batch, tokens, dim) content
-    embeddings (substitution already applied by the caller when needed).
-    Returns one (batch, n_classes[h]) logit tensor per head. With a single
-    modality present the bottleneck still runs but exchanges with nothing,
-    which is the evaluation path for samples whose other modality is
-    skipped.
-    """
-    if not content:
-        raise DimensionError("forward needs at least one modality")
-    present = [m for m in MODALITIES if m in content]
-    x = {m: _with_cls_and_pos(p, m, content[m]) for m in present}
-    return _readout(p, encode_sequences(p, x))
-
-
-def forward_full_sa(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
+def _encode_full_sa(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor]:
     """Concatenated-sequence fusion: one shared stack from the fusion layer.
 
     Layers below ``fusion_layer`` run per modality as usual; from there the
@@ -332,33 +354,50 @@ def forward_full_sa(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor
     mode). No bottleneck tokens take part.
     """
     cfg = p.config
-    present = [m for m in MODALITIES if m in content]
-    if present != list(MODALITIES):
+    if list(x) != list(MODALITIES):
         raise DimensionError("full self-attention fusion needs every modality present")
-    x = {m: _with_cls_and_pos(p, m, content[m]) for m in present}
-
-    for l in range(min(cfg.fusion_layer, cfg.layers)):
-        x = {m: _block(p, f"{m}.layers.{l}", x[m]) for m in present}
+    x = _run_stacks(p, x, range(min(cfg.fusion_layer, cfg.layers)))
 
     if cfg.fusion_layer < cfg.layers:
-        joint = ad.concat([x[m] for m in present], axis=1)
+        joint = ad.concat([x[m] for m in MODALITIES], axis=1)
         for l in range(cfg.fusion_layer, cfg.layers):
-            joint = _block(p, f"{present[0]}.layers.{l}", joint)
+            joint = _block(p, f"{MODALITIES[0]}.layers.{l}", joint)
         offset = 0
-        for m in present:
+        for m in MODALITIES:
             n = cfg.tokens(m) + 1
             x[m] = ad.narrow(joint, 1, offset, n)
             offset += n
 
+    return x
+
+
+def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
+    """Logits of the forward pass ``p.config.arch`` names.
+
+    ``content`` maps modality name to (batch, tokens, dim) content
+    embeddings (substitution already applied by the caller when needed);
+    entries for modalities the arch does not read are ignored. Returns
+    one (batch, n_classes[h]) logit tensor per head.
+
+    The bottleneck arch runs on whichever modalities are present: with a
+    single one the bottleneck still runs but exchanges with nothing, which
+    is the evaluation path for samples whose other modality is skipped.
+    Full self-attention needs both; a unimodal arch runs its one stack.
+    """
+    cfg = p.config
+    present = [m for m in cfg.input_modalities if m in content]
+    if not present:
+        raise DimensionError(
+            f"the {cfg.arch} forward needs one of {list(cfg.input_modalities)} in its content"
+        )
+    x = {m: _with_cls_and_pos(p, m, content[m]) for m in present}
+    if cfg.arch == "bottleneck":
+        x = encode_sequences(p, x)
+    elif cfg.arch == "full_sa":
+        x = _encode_full_sa(p, x)
+    else:
+        x = _run_stacks(p, x, range(cfg.layers))
     return _readout(p, x)
-
-
-def unimodal_forward(p: MbtParameters, modality: str, content: Tensor) -> list[Tensor]:
-    """Single-stream baseline: one modality, full stack, no bottleneck."""
-    x = _with_cls_and_pos(p, modality, content)
-    for l in range(p.config.layers):
-        x = _block(p, f"{modality}.layers.{l}", x)
-    return _readout(p, {modality: x})
 
 
 # ---------------------------------------------------------------------------

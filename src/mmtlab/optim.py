@@ -1,14 +1,18 @@
-"""AdamW with decoupled weight decay and a warmup + cosine-decay schedule."""
+"""AdamW with decoupled weight decay and a warmup + cosine-decay schedule,
+and :func:`fit`, the one minibatch loop that supervised training and
+masked-autoencoder pretraining share."""
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tape, Tensor
 from .errors import ConfigError
+from .rng import Stream
 
 
 def lr_at_step(step: int, base_lr: float, warmup_steps: int, total_steps: int) -> float:
@@ -82,3 +86,69 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+@dataclass
+class FitResult:
+    history: list  # per-epoch {"epoch", "loss", "lr"}
+    steps: int
+    kept: int  # samples visited per epoch
+    seconds: float
+
+
+def fit(
+    param_sets: list,
+    n: int,
+    cfg,
+    seed: int,
+    batch_loss,
+    new_epoch=None,
+) -> FitResult:
+    """Minimize ``batch_loss`` over ``n`` samples with AdamW.
+
+    ``param_sets`` are the :class:`~mmtlab.model.ParamSet` objects to
+    update. ``cfg`` supplies epochs, batch_size, base_lr, weight_decay and
+    warmup_frac. Each epoch visits the samples in a fresh order from the
+    "batch-order" stream of ``seed``, calls ``new_epoch(perm)`` if given,
+    then for every batch records ``batch_loss(sel, span)`` on a tape and
+    steps, where ``sel = perm[span]`` are the batch's sample positions.
+    A non-finite loss raises ``FloatingPointError`` before any update.
+    """
+    started = time.time()
+    plist, no_decay = [], set()
+    for ps in param_sets:
+        plist += ps.parameter_list()
+        no_decay |= ps.no_decay_ids()
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
+    opt = AdamW(
+        plist,
+        base_lr=cfg.base_lr,
+        warmup_steps=min(max(1, int(cfg.warmup_frac * total_steps)), total_steps - 1),
+        total_steps=total_steps,
+        weight_decay=cfg.weight_decay,
+        no_decay=frozenset(no_decay),
+    )
+
+    order_stream = Stream(seed, "batch-order")
+    history = []
+    for epoch in range(cfg.epochs):
+        perm = list(range(n))
+        order_stream.shuffle(perm)
+        perm = np.asarray(perm)
+        if new_epoch is not None:
+            new_epoch(perm)
+        epoch_loss = 0.0
+        lr = opt.lr
+        for lo in range(0, n, cfg.batch_size):
+            span = slice(lo, lo + cfg.batch_size)
+            sel = perm[span]
+            with Tape() as tape:
+                loss = batch_loss(sel, span)
+                tape.backward(loss)
+            if not np.isfinite(loss.data):
+                raise FloatingPointError(f"non-finite loss at epoch {epoch}")
+            lr = opt.step()
+            opt.zero_grad()
+            epoch_loss += float(loss.data) * len(sel)
+        history.append({"epoch": epoch, "loss": epoch_loss / n, "lr": lr})
+    return FitResult(history, total_steps, n, time.time() - started)

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, InfeasibleRateError, InvalidInputError
 from .missing import MmtBank, SubstitutionMethod, replace_with_mmt, substitute_skip, substitute_zeros
-from .model import MODALITIES, MbtParameters, embed_content, forward, forward_full_sa, unimodal_forward
+from .model import MODALITIES, MbtParameters, embed_content, forward
 from .rng import Stream
 from .synthdata import SynthDataset
 
@@ -123,16 +123,10 @@ def _predict_group(
     present: tuple[str, ...],
     missing: dict[str, np.ndarray],
     method: SubstitutionMethod,
-    arch: str,
 ) -> np.ndarray:
     """Logits -> (len(idx), heads) label predictions for one presence group."""
-    if arch.startswith("unimodal:"):
-        modality = arch.split(":", 1)[1]
-        wanted = (modality,)
-    else:
-        wanted = present
     content: dict[str, Tensor] = {}
-    for m in wanted:
+    for m in present:
         patches = ds.patches(m)[idx]
         flags = missing[m][idx]
         if method is SubstitutionMethod.ZEROS:
@@ -145,12 +139,7 @@ def _predict_group(
                     raise InvalidInputError("mmt evaluation needs a token bank")
                 emb = replace_with_mmt(bank, m, emb, flags)
             content[m] = emb
-    if arch == "full_sa":
-        logits = forward_full_sa(params, content)
-    elif arch.startswith("unimodal:"):
-        logits = unimodal_forward(params, wanted[0], content[wanted[0]])
-    else:
-        logits = forward(params, content)
+    logits = forward(params, content)
     # argmax would silently pick the first NaN, so refuse to score
     if not all(np.isfinite(l.data).all() for l in logits):
         raise FloatingPointError(f"non-finite logits in a batch of {len(idx)} samples")
@@ -163,7 +152,6 @@ def evaluate(
     ds: SynthDataset,
     missing: dict[str, np.ndarray],
     method: SubstitutionMethod,
-    arch: str = "bottleneck",
     batch_size: int = 128,
 ) -> dict:
     """Top-1 accuracy per head over the whole set under one missing pattern.
@@ -171,7 +159,9 @@ def evaluate(
     ``missing`` maps each modality to its flags for this variant (natural
     absences included). The skip method dispatches per presence group;
     samples with nothing left are scored wrong and logged. Other methods
-    keep every branch alive via substitution.
+    keep every branch alive via substitution. Only the modalities the
+    model's arch reads are embedded, so a unimodal model scores the
+    samples whose one modality was skipped as wrong.
     """
     n = len(ds)
     heads = len(params.config.n_classes)
@@ -192,13 +182,12 @@ def evaluate(
                 len(idx),
             )
             continue
-        if arch.startswith("unimodal:") and arch.split(":", 1)[1] not in present:
+        present = tuple(m for m in present if m in params.config.input_modalities)
+        if not present:
             continue  # the one branch this model has is absent: wrong
         for lo in range(0, len(idx), batch_size):
             chunk = idx[lo : lo + batch_size]
-            preds[chunk] = _predict_group(
-                params, bank, ds, chunk, present, missing, method, arch
-            )
+            preds[chunk] = _predict_group(params, bank, ds, chunk, present, missing, method)
 
     per_head = [float((preds[:, h] == ds.labels[:, h]).mean()) for h in range(heads)]
     return {"per_head": per_head, "mean": float(np.mean(per_head)), "n": n, "preds": preds}
@@ -267,22 +256,22 @@ class MetricsTable:
 def sweep(cells: list[dict], run_cell, table: MetricsTable, path: str) -> MetricsTable:
     """Fill a metrics table cell by cell, skipping already-present cells.
 
-    Each cell dict carries ``method``, ``r_test``, ``seed`` plus whatever
-    ``run_cell`` needs; ``run_cell(cell)`` returns {head_name: (accuracy,
-    n)}. The table is saved after every new cell so an interrupted sweep
-    resumes where it stopped, and a resumed sweep's final file is identical
-    to an uninterrupted one because rows are sorted on save.
+    Each cell dict carries ``method``, ``r_test``, ``seed``, ``heads`` plus
+    whatever ``run_cell`` needs; ``run_cell(cell)`` returns {head_name:
+    (accuracy, n)}, and only the heads the table lacks are added. The
+    table is saved after every new cell so an interrupted sweep resumes
+    where it stopped, and a resumed sweep's final file is identical to an
+    uninterrupted one because rows are sorted on save.
     """
     for cell in cells:
-        heads = cell["heads"]
-        done = all(
-            table.has(cell["method"], cell["r_test"], h, cell["seed"]) for h in heads
-        )
-        if done:
+        method, r_test, seed = cell["method"], cell["r_test"], cell["seed"]
+        todo = [h for h in cell["heads"] if not table.has(method, r_test, h, seed)]
+        if not todo:
             continue
         results = run_cell(cell)
-        for head, (acc, n) in results.items():
-            table.add(cell["method"], cell["r_test"], head, cell["seed"], acc, n)
+        for head in todo:
+            acc, n = results[head]
+            table.add(method, r_test, head, seed, acc, n)
         table.save(path)
     table.save(path)
     return table

@@ -26,9 +26,6 @@ samples regenerates identically regardless of chunking or order.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,16 +34,15 @@ from scipy.integrate import quad
 from scipy.linalg import hadamard
 from scipy.stats import norm
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError
 from .rng import Stream, sample_rng
 from .tokenizer import (
+    MODALITIES,
     SpectrogramGeometry,
     VideoGeometry,
     spectrogram_patches,
     video_patches,
 )
-
-MODALITIES = ("audio", "video")
 
 
 @dataclass(frozen=True)
@@ -272,95 +268,3 @@ def expected_accuracy(config: SynthConfig, subset: tuple[str, ...]) -> list[floa
         bayes_accuracy_bound(config.separation(subset, h), c)
         for h, c in enumerate(config.n_classes)
     ]
-
-
-# ---------------------------------------------------------------------------
-# on-disk form: one flat binary file plus a human-readable JSON sidecar
-
-_MAGIC = b"MMTDATA1"
-_VERSION = 1
-
-
-def save_dataset(path: str, ds: SynthDataset) -> None:
-    """Write ``path`` (binary records) and ``path`` + ".json" (summary)."""
-    heads = len(ds.config.n_classes)
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    header = json.dumps(
-        {"config": ds.config.to_dict(), "seed": ds.seed, "split": ds.split},
-        sort_keys=True,
-    ).encode()
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-    buf.write(struct.pack("<I", len(ds)))
-    for i in range(len(ds)):
-        buf.write(struct.pack(f"<{heads}H", *ds.labels[i]))
-        flags = 0
-        for bit, m in enumerate(MODALITIES):
-            if ds.missing[m][i]:
-                flags |= 1 << bit
-        buf.write(struct.pack("<B", flags))
-        for m in MODALITIES:
-            buf.write(ds.raw[m][i].astype("<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
-    hist = {
-        str(h): np.bincount(ds.labels[:, h], minlength=ds.config.n_classes[h]).tolist()
-        for h in range(heads)
-    }
-    sidecar = {
-        "n": len(ds),
-        "split": ds.split,
-        "seed": ds.seed,
-        "label_histogram": hist,
-        "missing_counts": {m: int(ds.missing[m].sum()) for m in MODALITIES},
-        "config": ds.config.to_dict(),
-    }
-    with open(path + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_dataset(path: str) -> SynthDataset:
-    with open(path, "rb") as f:
-        rawbytes = f.read()
-    view = memoryview(rawbytes)
-    off = 0
-
-    def take(k: int) -> memoryview:
-        nonlocal off
-        if off + k > len(rawbytes):
-            raise DataError(f"{path}: truncated at byte {off}")
-        piece = view[off : off + k]
-        off += k
-        return piece
-
-    if bytes(take(len(_MAGIC))) != _MAGIC:
-        raise DataError(f"{path}: not a dataset file")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported dataset version {version}")
-    (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(bytes(take(hlen)).decode())
-    config = SynthConfig.from_dict(header["config"])
-    (n,) = struct.unpack("<I", take(4))
-    heads = len(config.n_classes)
-    labels = np.zeros((n, heads), dtype=np.int64)
-    raw = {m: np.zeros((n,) + config.raw_shape(m)) for m in MODALITIES}
-    missing = {m: np.zeros(n, dtype=bool) for m in MODALITIES}
-    sizes = {m: config.raw_size(m) for m in MODALITIES}
-    for i in range(n):
-        labels[i] = struct.unpack(f"<{heads}H", take(2 * heads))
-        (flags,) = struct.unpack("<B", take(1))
-        for bit, m in enumerate(MODALITIES):
-            missing[m][i] = bool(flags >> bit & 1)
-        for m in MODALITIES:
-            vals = np.frombuffer(take(4 * sizes[m]), dtype="<f4")
-            raw[m][i] = vals.astype(np.float64).reshape(config.raw_shape(m))
-    if off != len(rawbytes):
-        raise DataError(f"{path}: {len(rawbytes) - off} trailing bytes")
-    for h, c in enumerate(config.n_classes):
-        if labels[:, h].max(initial=0) >= c:
-            raise DataError(f"{path}: label out of range for head {h}")
-    return SynthDataset(config, header["seed"], header["split"], labels, raw, missing)

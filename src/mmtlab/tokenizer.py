@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
+MODALITIES = ("audio", "video")
+
 
 @dataclass(frozen=True)
 class SpectrogramGeometry:

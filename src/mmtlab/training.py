@@ -6,6 +6,8 @@ fixes which samples count as incomplete under an induced rate, and
 "random-replace" draws the per-epoch substitutions. Two calls with the
 same arguments produce bit-identical parameters.
 
+Only the modalities the model's arch reads are embedded, and the logits
+come from :func:`mmtlab.model.forward`, which evaluation calls too.
 Samples flagged incomplete (naturally or by schedule) always have the
 absent modality substituted with its learned token; complete samples are
 substituted at random per the policy, re-drawn every epoch, so the model
@@ -14,25 +16,15 @@ sees the same sample both ways across epochs.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
 from .errors import ConfigError, DataError
 from .missing import MmtBank, TrainMissingPolicy, random_replace, replace_with_mmt
-from .model import (
-    MODALITIES,
-    MbtParameters,
-    embed_content,
-    forward,
-    forward_full_sa,
-    unimodal_forward,
-)
-from .optim import AdamW
+from .model import MODALITIES, MbtParameters, embed_content, forward
+from .optim import FitResult, fit
 from .protocol import build_schedule, class_weights, weighted_cross_entropy
 from .rng import Stream
 from .synthdata import SynthDataset
@@ -49,7 +41,6 @@ class TrainConfig:
     warmup_frac: float = 0.1
     replace_probs: dict = field(default_factory=dict)
     induced_missing: dict = field(default_factory=dict)
-    arch: str = "bottleneck"
     use_class_weights: bool = False
     filter_incomplete: bool = False
     train_mmt: bool = True
@@ -59,10 +50,6 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac outside [0, 1)")
-        if self.arch not in ("bottleneck", "full_sa") and not (
-            self.arch.startswith("unimodal:") and self.arch.split(":", 1)[1] in MODALITIES
-        ):
-            raise ConfigError(f"unknown arch {self.arch!r}")
         for m, r in self.induced_missing.items():
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r} in induced_missing")
@@ -78,14 +65,6 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return cls(**d)
-
-
-@dataclass
-class TrainResult:
-    history: list  # per-epoch {"epoch", "loss", "lr"}
-    steps: int
-    kept: int  # training samples after any filtering
-    seconds: float
 
 
 def training_missing_masks(ds: SynthDataset, tcfg: TrainConfig, seed: int) -> dict:
@@ -111,8 +90,8 @@ def train(
     ds: SynthDataset,
     tcfg: TrainConfig,
     seed: int,
-) -> TrainResult:
-    started = time.time()
+) -> FitResult:
+    """Fit the classifier; ``kept`` counts the samples left after filtering."""
     cfg = params.config
     masks = training_missing_masks(ds, tcfg, seed)
 
@@ -144,70 +123,32 @@ def train(
             class_weights(labels[:, h], c) for h, c in enumerate(cfg.n_classes)
         ]
 
-    plist = params.parameter_list()
-    no_decay = set(params.no_decay_ids())
-    if bank is not None and tcfg.train_mmt:
-        bank_params = bank.parameter_list()
-        plist = plist + bank_params
-        no_decay |= {id(t) for t in bank_params}
-    n = len(ids)
-    steps_per_epoch = math.ceil(n / tcfg.batch_size)
-    total_steps = tcfg.epochs * steps_per_epoch
-    opt = AdamW(
-        plist,
-        base_lr=tcfg.base_lr,
-        warmup_steps=min(max(1, int(tcfg.warmup_frac * total_steps)), total_steps - 1),
-        total_steps=total_steps,
-        weight_decay=tcfg.weight_decay,
-        no_decay=frozenset(no_decay),
-    )
-
-    order_stream = Stream(seed, "batch-order")
     replace_stream = Stream(seed, "random-replace")
-    if tcfg.arch.startswith("unimodal:"):
-        arch_modalities: tuple[str, ...] = (tcfg.arch.split(":", 1)[1],)
-    else:
-        arch_modalities = MODALITIES
+    replaced = {}
 
-    history = []
-    for epoch in range(tcfg.epochs):
-        perm = list(range(n))
-        order_stream.shuffle(perm)
-        perm = np.asarray(perm)
+    def new_epoch(perm):
         epoch_natural = {m: natural[m][perm] for m in MODALITIES}
-        replaced = random_replace(policy, replace_stream, epoch_natural)
-        epoch_loss = 0.0
-        lr = opt.lr
-        for lo in range(0, n, tcfg.batch_size):
-            sel = perm[lo : lo + tcfg.batch_size]
-            batch_ids = ids[sel]
-            with Tape() as tape:
-                content = {}
-                for m in arch_modalities:
-                    emb = embed_content(params, m, ds.patches(m)[batch_ids])
-                    flags = replaced[m][lo : lo + tcfg.batch_size]
-                    if flags.any():
-                        emb = replace_with_mmt(bank, m, emb, flags)
-                    content[m] = emb
-                if tcfg.arch == "full_sa":
-                    logits = forward_full_sa(params, content)
-                elif tcfg.arch.startswith("unimodal:"):
-                    logits = unimodal_forward(params, arch_modalities[0], content[arch_modalities[0]])
-                else:
-                    logits = forward(params, content)
-                loss = None
-                for h in range(len(cfg.n_classes)):
-                    y = labels[sel][:, h]
-                    if weights is not None:
-                        part = weighted_cross_entropy(logits[h], y, weights[h])
-                    else:
-                        part = ad.cross_entropy(logits[h], y)
-                    loss = part if loss is None else ad.add(loss, part)
-                tape.backward(loss)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-            lr = opt.step()
-            opt.zero_grad()
-            epoch_loss += float(loss.data) * len(sel)
-        history.append({"epoch": epoch, "loss": epoch_loss / n, "lr": lr})
-    return TrainResult(history, total_steps, n, time.time() - started)
+        replaced.update(random_replace(policy, replace_stream, epoch_natural))
+
+    def batch_loss(sel, span):
+        batch_ids = ids[sel]
+        content = {}
+        for m in cfg.input_modalities:
+            emb = embed_content(params, m, ds.patches(m)[batch_ids])
+            flags = replaced[m][span]
+            if flags.any():
+                emb = replace_with_mmt(bank, m, emb, flags)
+            content[m] = emb
+        logits = forward(params, content)
+        loss = None
+        for h in range(len(cfg.n_classes)):
+            y = labels[sel][:, h]
+            if weights is not None:
+                part = weighted_cross_entropy(logits[h], y, weights[h])
+            else:
+                part = ad.cross_entropy(logits[h], y)
+            loss = part if loss is None else ad.add(loss, part)
+        return loss
+
+    param_sets = [params] + ([bank] if bank is not None and tcfg.train_mmt else [])
+    return fit(param_sets, len(ids), tcfg, seed, batch_loss, new_epoch)

@@ -10,9 +10,11 @@ import pytest
 from mmtlab.cli import main
 from mmtlab.config import check_data_compat, load_run_config, preset_path
 from mmtlab.errors import ConfigError, SchemaError
-from mmtlab.protocol import MetricsTable
+from mmtlab.missing import MmtBank, SubstitutionMethod
+from mmtlab.model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
+from mmtlab.protocol import MetricsTable, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
-from mmtlab.synthdata import load_dataset
+from mmtlab.synthdata import generate
 
 
 MICRO_GEO = {
@@ -43,6 +45,21 @@ def micro_cfg_dict(out: str, **extra) -> dict:
     }
     cfg.update(extra)
     return cfg
+
+
+def micro_preset(tmp_path: Path, preset: str, **model) -> str:
+    """A shipped preset at the micro geometry, keeping its natural missing
+    rates, replacement probabilities and eval section."""
+    micro = micro_cfg_dict(str(tmp_path / "run"))
+    with open(preset_path(preset)) as f:
+        cfg = json.load(f)
+    cfg["synth"].update(micro["synth"])
+    cfg["model"].update(micro["model"], **model)
+    cfg["train"].update(epochs=2, batch_size=32)
+    cfg.update(data=micro["data"], out=micro["out"])
+    path = tmp_path / f"{preset}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 def write_cfg(tmp_path: Path, name="cfg.json", **extra) -> str:
@@ -105,6 +122,18 @@ def test_config_roundtrip_and_overrides(tmp_path):
     assert winner.seed == 9 and winner.out == "elsewhere"
 
 
+def test_eval_rates_below_the_natural_rate_fail_at_load():
+    eg = json.loads(Path(preset_path("ego4d-ar-like")).read_text())
+    assert load_run_config(eg).eval_rates[0] == 27.0  # int(0.27 * n) on both sides
+    eg["eval"]["rates"] = [25, 50]
+    with pytest.raises(ConfigError, match="eval.rates: 25% of"):
+        load_run_config(eg)
+    # the generator's arithmetic: 26.9% of 100 samples rounds down to 26 < 27
+    eg["data"]["n_test"], eg["eval"]["rates"] = 100, [26.9]
+    with pytest.raises(ConfigError, match="below the 27"):
+        load_run_config(eg)
+
+
 def test_geometry_mismatch_is_caught_before_running():
     cfg = load_run_config({"model": {"audio": {"bins": 16, "frames": 16, "patch_bins": 4, "patch_frames": 4}}})
     with pytest.raises(ConfigError, match="audio geometry"):
@@ -113,17 +142,6 @@ def test_geometry_mismatch_is_caught_before_running():
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def test_gen_data_writes_loadable_datasets(tmp_path):
-    path = write_cfg(tmp_path)
-    assert main(["gen-data", "--config", path]) == 0
-    run = tmp_path / "run"
-    ds = load_dataset(str(run / "train.mmtdata"))
-    assert len(ds) == 64 and ds.split == "train"
-    manifest = json.loads((run / "manifest.json").read_text())
-    assert "train.mmtdata" in manifest["files"]
-    assert (run / "config.json").exists()
 
 
 def test_train_eval_metrics_are_byte_identical_across_reruns(tmp_path):
@@ -208,6 +226,59 @@ def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
     assert seq == par
 
 
+@pytest.mark.parametrize("preset", ["ego4d-ar-like", "epic-kitchens-like", "epic-sounds-like"])
+def test_desk_preset_runs_train_eval_report(tmp_path, preset):
+    path = micro_preset(tmp_path, preset)
+    assert main(["train", "--config", path]) == 0
+    assert main(["eval", "--config", path]) == 0
+    run = tmp_path / "run"
+    assert main(["report", str(run / "metrics.csv")]) == 0
+    cfg = load_run_config(path)
+    table = MetricsTable.load(str(run / "metrics.csv"))
+    want = {(r, h) for r in cfg.eval_rates for h in cfg.model.head_names}
+    assert {(r, h) for _, r, h, *_ in table.rows} == want
+    assert (run / "report.svg").exists()
+
+
+@pytest.mark.parametrize("arch", ["full_sa", "unimodal:audio"])
+def test_eval_scores_the_arch_the_model_was_trained_with(tmp_path, arch):
+    path = micro_preset(tmp_path, "epic-kitchens-like", arch=arch)
+    assert main(["train", "--config", path]) == 0
+    assert main(["eval", "--config", path]) == 0
+    run = tmp_path / "run"
+    arrays, ckpt_cfg, _ = load_checkpoint(str(run / "model.ckpt"))
+    mcfg = ModelConfig.from_dict(ckpt_cfg["model"])
+    assert mcfg.arch == arch
+    mmt = {k: v for k, v in arrays.items() if k.startswith("mmt.")}
+    params = MbtParameters.from_arrays(mcfg, {k: v for k, v in arrays.items() if k not in mmt})
+    bank = MmtBank.from_arrays(mcfg.embed_dim, mmt)
+
+    cfg = load_run_config(path)
+    ds = generate(cfg.synth, cfg.seed, cfg.n_test, split="test")
+    variants = make_test_variants(
+        ds.missing[cfg.eval_missing], [r / 100.0 for r in cfg.eval_rates], cfg.seed
+    )
+    direct = MetricsTable()
+    for r in cfg.eval_rates:
+        missing = {**ds.missing, cfg.eval_missing: variants[r / 100.0]}
+        res = evaluate(params, bank, ds, missing, SubstitutionMethod.parse(cfg.eval_method))
+        for h, name in enumerate(mcfg.head_names):
+            direct.add(cfg.eval_method, r, name, cfg.seed, res["per_head"][h], res["n"])
+    assert (run / "metrics.csv").read_text() == direct.to_csv()
+
+
+def test_infeasible_r_train_grid_fails_before_training(tmp_path, capsys):
+    path = micro_preset(tmp_path, "ego4d-ar-like")
+    out = tmp_path / "sw"
+    args = ["sweep", "--config", path, "--out", str(out), "--axis", "r_train", "--grid", "50,20"]
+    code = main(args)
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert "--grid: 20% of 64 samples" in record["message"]
+    assert not (out / "cells").exists()
+
+
 def test_sweep_rejects_fractional_fusion_layers(tmp_path, capsys):
     path = write_cfg(tmp_path)
     code = main(["sweep", "--config", path, "--out", str(tmp_path / "x"), "--axis", "fusion_layer", "--grid", "0.5"])
@@ -229,10 +300,25 @@ def test_missing_checkpoint_yields_error_record(tmp_path, capsys):
     assert record["command"] == "eval"
 
 
+def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    mcfg = load_run_config(path).model
+    params = MbtParameters.init(mcfg, seed=1)
+    legacy = {k: v for k, v in mcfg.to_dict().items() if k != "arch"}
+    legacy["fusion_mode"] = "bottleneck"  # the field that ``arch`` replaced
+    ckpt = tmp_path / "legacy.ckpt"
+    save_checkpoint(str(ckpt), params.as_arrays(), {"model": legacy}, stage="finetune")
+    code = main(["eval", "--config", path, "--checkpoint", str(ckpt)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "CheckpointError"
+    assert "fusion_mode" in record["message"]
+
+
 def test_schema_violation_yields_error_record_with_keys(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"modle": {}}))
-    code = main(["gen-data", "--config", str(bad)])
+    code = main(["train", "--config", str(bad)])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "SchemaError"

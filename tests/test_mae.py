@@ -250,6 +250,18 @@ def test_incomplete_samples_are_dropped_or_rejected():
         mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=7)
 
 
+def test_non_finite_reconstruction_loss_raises_before_any_update():
+    ds, params, dec, _ = setup_micro(n=16)
+    ds.patches("video")[:] = np.nan
+    before = {**params.as_arrays(), **dec.as_arrays()}
+    before = {k: v.copy() for k, v in before.items()}
+    with pytest.raises(FloatingPointError):
+        mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=7)
+    after = {**params.as_arrays(), **dec.as_arrays()}
+    for k in before:
+        np.testing.assert_array_equal(before[k], after[k])
+
+
 # ---------------------------------------------------------------------------
 # configs
 
@@ -298,6 +310,17 @@ def test_load_pretrained_rejects_other_stages(tmp_path):
     path = str(tmp_path / "ft.ckpt")
     save_checkpoint(path, params.as_arrays(), params.config.to_dict(), stage="finetune")
     with pytest.raises(CheckpointError):
+        load_pretrained(path)
+
+
+def test_load_pretrained_rejects_unknown_config_keys(tmp_path):
+    ds, params, dec, acfg = setup_micro()
+    path = str(tmp_path / "p.ckpt")
+    save_pretrained(path, params, dec)
+    arrays, config, stage = load_checkpoint(path)
+    config["mae"]["legacy_key"] = 1
+    save_checkpoint(path, arrays, config, stage)
+    with pytest.raises(CheckpointError, match="legacy_key"):
         load_pretrained(path)
 
 

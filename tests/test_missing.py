@@ -3,7 +3,7 @@ import pytest
 
 from mmtlab import autodiff as ad
 from mmtlab.autodiff import Tape, Tensor
-from mmtlab.errors import ConfigError, DimensionError
+from mmtlab.errors import CheckpointError, ConfigError, DimensionError
 from mmtlab.missing import (
     MmtBank,
     SubstitutionMethod,
@@ -227,7 +227,7 @@ def test_bank_roundtrip_and_validation():
     arrays = bank.as_arrays()
     again = MmtBank.from_arrays(8, arrays)
     np.testing.assert_array_equal(again["audio"].data, bank["audio"].data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(CheckpointError):
         MmtBank.from_arrays(8, {"token.audio": np.zeros(8)})
-    with pytest.raises(DimensionError):
-        MmtBank.from_arrays(8, {"mmt.audio": np.zeros(4)})
+    with pytest.raises(CheckpointError):
+        MmtBank.from_arrays(8, {"mmt.audio": np.zeros(4), "mmt.video": np.zeros(8)})

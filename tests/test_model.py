@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,9 @@ from mmtlab.model import (
     attention_pairs_per_layer,
     embed_content,
     forward,
-    forward_full_sa,
     load_checkpoint,
     run_block,
     save_checkpoint,
-    unimodal_forward,
 )
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
 
@@ -37,6 +37,11 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def with_arch(p: MbtParameters, arch: str) -> MbtParameters:
+    """The same tensors run through another forward pass."""
+    return MbtParameters(replace(p.config, arch=arch), p.tensors)
 
 
 def random_content(p: MbtParameters, batch: int, seed: int = 0) -> dict[str, Tensor]:
@@ -143,7 +148,7 @@ def test_no_fusion_equals_average_of_unimodal():
     p = MbtParameters.init(cfg, seed=5)
     content = random_content(p, batch=4, seed=9)
     fused = forward(p, content)
-    solo = {m: unimodal_forward(p, m, content[m]) for m in MODALITIES}
+    solo = {m: forward(with_arch(p, f"unimodal:{m}"), content) for m in MODALITIES}
     for h in range(len(cfg.n_classes)):
         want = (solo["audio"][h].data + solo["video"][h].data) / 2
         np.testing.assert_allclose(fused[h].data, want, atol=1e-12)
@@ -189,19 +194,20 @@ def test_full_sa_uses_every_token_jointly():
     for h in range(len(cfg.n_classes)):
         p[f"video.head.{h}.w"].data[:] = 0.0
         p[f"video.head.{h}.b"].data[:] = 0.0
-    base = [t.data.copy() for t in forward_full_sa(p, content)]
+    p = with_arch(p, "full_sa")
+    base = [t.data.copy() for t in forward(p, content)]
     noise = np.random.default_rng(98).standard_normal(content["video"].shape)
     content["video"].data[:] += noise
-    moved = forward_full_sa(p, content)
+    moved = forward(p, content)
     assert any(np.abs(b - m.data).max() > 1e-9 for b, m in zip(base, moved))
 
 
 def test_full_sa_requires_both_modalities():
-    cfg = tiny_config()
+    cfg = tiny_config(arch="full_sa")
     p = MbtParameters.init(cfg, seed=9)
     content = random_content(p, batch=1)
     with pytest.raises(DimensionError):
-        forward_full_sa(p, {"audio": content["audio"]})
+        forward(p, {"audio": content["audio"]})
 
 
 def test_batch_rows_are_independent():
@@ -272,11 +278,11 @@ def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio):
 
 
 def test_unimodal_leaves_other_stack_untouched():
-    cfg = tiny_config()
+    cfg = tiny_config(arch="unimodal:audio")
     p = MbtParameters.init(cfg, seed=12)
     content = random_content(p, batch=2, seed=15)
     with Tape() as tape:
-        logits = unimodal_forward(p, "audio", content["audio"])
+        logits = forward(p, content)
         tape.backward(ad.mean(logits[0]))
     assert all(t.grad is None for n, t in p.tensors.items() if n.startswith("video."))
     assert p["audio.embed.w"].grad is None  # content was fed directly
@@ -304,7 +310,7 @@ def test_config_roundtrips_through_dict():
     with pytest.raises(ConfigError):
         tiny_config(head_names=("only",))
     with pytest.raises(ConfigError):
-        tiny_config(fusion_mode="cross")
+        tiny_config(arch="cross")
 
 
 def test_parameter_count_matches_formula():

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,14 +248,13 @@ def test_skip_equals_single_branch_forward(setup):
 
 def test_unimodal_arch_evaluation(setup):
     ds, params, bank = setup
-    res = evaluate(
-        params, bank, ds, no_missing(ds), SubstitutionMethod.MMT, arch="unimodal:video"
-    )
+    params = MbtParameters(replace(params.config, arch="unimodal:video"), params.tensors)
+    res = evaluate(params, bank, ds, no_missing(ds), SubstitutionMethod.MMT)
     assert res["n"] == len(ds)
     # unimodal model with its only modality missing everywhere scores zero-ish
     missing = no_missing(ds)
     missing["video"][:] = True
-    gone = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP, arch="unimodal:video")
+    gone = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP)
     assert np.all(gone["preds"] == -1)
 
 
@@ -329,6 +329,15 @@ def test_sweep_skips_completed_cells_and_matches_full_run(tmp_path):
     resumed_path = str(tmp_path / "resumed.csv")
     sweep(cells, run_cell, partial, resumed_path)
     assert len(calls) == 3
+    assert open(resumed_path).read() == open(full_path).read()
+
+    # a cell with one head present is rerun for the missing head only
+    calls.clear()
+    one_head = MetricsTable()
+    one_head.add("mmt", 0.0, "A", 1, *run_cell(cells[0])["A"])
+    calls.clear()
+    sweep(cells, run_cell, one_head, resumed_path)
+    assert len(calls) == 4
     assert open(resumed_path).read() == open(full_path).read()
 
 

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mmtlab.errors import ConfigError, DataError
+from mmtlab.errors import ConfigError
 from mmtlab.synthdata import (
     MODALITIES,
     SynthConfig,
     bayes_accuracy_bound,
     expected_accuracy,
     generate,
-    load_dataset,
-    save_dataset,
     template_match,
     templates,
 )
@@ -162,60 +160,3 @@ def test_config_validation():
 def test_config_roundtrips_through_dict():
     cfg = small_config(natural_missing={"audio": 0.25, "video": 0.25})
     assert SynthConfig.from_dict(cfg.to_dict()) == cfg
-
-
-# ---------------------------------------------------------------------------
-# storage
-
-
-def test_dataset_roundtrip(tmp_path):
-    cfg = small_config(natural_missing={"video": 0.25})
-    ds = generate(cfg, seed=9, n=12, split="test")
-    path = str(tmp_path / "toy.bin")
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert back.config == cfg and back.seed == 9 and back.split == "test"
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    for m in MODALITIES:
-        np.testing.assert_array_equal(back.missing[m], ds.missing[m])
-        # storage is float32; the cast is the only loss
-        np.testing.assert_allclose(back.raw[m], ds.raw[m], atol=1e-6)
-
-
-def test_dataset_files_are_byte_deterministic(tmp_path):
-    cfg = small_config()
-    ds = generate(cfg, seed=10, n=5)
-    p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-    save_dataset(p1, ds)
-    save_dataset(p2, ds)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    assert open(p1 + ".json").read() == open(p2 + ".json").read()
-
-
-def test_sidecar_contents(tmp_path):
-    import json
-
-    cfg = small_config(natural_missing={"audio": 0.5})
-    ds = generate(cfg, seed=11, n=10)
-    path = str(tmp_path / "d.bin")
-    save_dataset(path, ds)
-    side = json.load(open(path + ".json"))
-    assert side["n"] == 10
-    assert side["missing_counts"]["audio"] == 5
-    assert sum(side["label_histogram"]["0"]) == 10
-    assert len(side["label_histogram"]["1"]) == 3
-
-
-def test_load_rejects_corruption(tmp_path):
-    cfg = small_config()
-    ds = generate(cfg, seed=12, n=3)
-    path = str(tmp_path / "c.bin")
-    save_dataset(path, ds)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-7])
-    with pytest.raises(DataError):
-        load_dataset(path)
-    bad = str(tmp_path / "bad.bin")
-    open(bad, "wb").write(b"WRONGMAGIC" + blob[10:])
-    with pytest.raises(DataError):
-        load_dataset(bad)

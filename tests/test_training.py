@@ -17,10 +17,10 @@ def micro_train_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def fresh(seed=1, n=48, scfg=None):
+def fresh(seed=1, n=48, scfg=None, arch="bottleneck"):
     scfg = scfg or micro_synth_config()
     ds = generate(scfg, seed=seed, n=n, split="train")
-    mcfg = micro_model_config()
+    mcfg = micro_model_config(arch=arch)
     params = MbtParameters.init(mcfg, seed=seed)
     bank = MmtBank.init(mcfg.embed_dim, seed=seed)
     return ds, params, bank
@@ -81,9 +81,9 @@ def test_mmt_token_updates_only_when_substitution_happens():
 
 
 def test_unimodal_training_leaves_other_stack_frozen():
-    ds, params, bank = fresh()
+    ds, params, bank = fresh(arch="unimodal:audio")
     before = snapshot(params)
-    train(params, None, ds, micro_train_config(arch="unimodal:audio", train_mmt=False), seed=2)
+    train(params, None, ds, micro_train_config(train_mmt=False), seed=2)
     after = snapshot(params)
     for k in before:
         if k.startswith("video.") or k == "z":
@@ -92,10 +92,10 @@ def test_unimodal_training_leaves_other_stack_frozen():
 
 
 def test_full_sa_training_runs_and_uses_shared_stack():
-    ds, params, bank = fresh()
+    ds, params, bank = fresh(arch="full_sa")
     mcfg = params.config
     before = snapshot(params)
-    train(params, None, ds, micro_train_config(arch="full_sa", train_mmt=False), seed=2)
+    train(params, None, ds, micro_train_config(train_mmt=False), seed=2)
     after = snapshot(params)
     top = mcfg.layers - 1
     # video's top block is unused in this mode, audio's is shared
@@ -136,6 +136,17 @@ def test_induced_missing_extends_natural():
     train(params, bank, ds, tcfg, seed=9)  # runs: incomplete handled by bank
 
 
+def test_non_finite_step_loss_raises_before_any_update():
+    ds, params, bank = fresh()
+    ds.patches("audio")[:] = np.nan
+    before = snapshot(params, bank)
+    with pytest.raises(FloatingPointError):
+        train(params, bank, ds, micro_train_config(), seed=1)
+    after = snapshot(params, bank)
+    for k in before:
+        np.testing.assert_array_equal(before[k], after[k])
+
+
 def test_class_weighted_training_runs():
     ds, params, bank = fresh()
     result = train(params, bank, ds, micro_train_config(use_class_weights=True), seed=4)
@@ -146,7 +157,7 @@ def test_config_validation_and_roundtrip():
     with pytest.raises(ConfigError):
         micro_train_config(epochs=0)
     with pytest.raises(ConfigError):
-        micro_train_config(arch="late_fusion")
+        micro_model_config(arch="late_fusion")
     with pytest.raises(ConfigError):
         micro_train_config(replace_probs={"video": 2.0})
     with pytest.raises(ConfigError):
