@@ -26,14 +26,14 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import RunConfig, check_data_compat, check_feasible_rates, load_run_config, preset_path
 from .errors import CheckpointError, ConfigError, MmtlabError, SchemaError
 from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, transfer_encoder
 from .missing import MmtBank, SubstitutionMethod
-from .model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
+from .model import MbtParameters, ModelConfig, decode_header, load_checkpoint, save_checkpoint
 from .optim import FitResult
 from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_manifest
 from .report import render_svg, render_text
@@ -83,7 +83,7 @@ def _load_finetune(path: str):
     arrays, ckpt_cfg, stage = load_checkpoint(path)
     if stage != "finetune":
         raise CheckpointError(f"{path}: expected a finetune checkpoint, got {stage!r}")
-    mcfg = ModelConfig.from_dict(ckpt_cfg["model"])
+    mcfg = decode_header(ModelConfig, ckpt_cfg, "model", path)
     mmt = {k: v for k, v in arrays.items() if k.startswith("mmt.")}
     rest = {k: v for k, v in arrays.items() if not k.startswith("mmt.")}
     params = MbtParameters.from_arrays(mcfg, rest)
@@ -105,7 +105,7 @@ def _write_fit_log(path: Path, result: FitResult) -> None:
 
 def _train_one(cfg: RunConfig, out: Path, pretrained: str | None) -> None:
     """Train a classifier into ``out``/model.ckpt and ``out``/train_log.json."""
-    ds = generate(cfg.synth, cfg.seed, cfg.n_train, split="train")
+    ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
     if pretrained:
         pre_params, _ = load_pretrained(pretrained)
         params, bank = transfer_encoder(pre_params, cfg.model, cfg.seed)
@@ -114,7 +114,7 @@ def _train_one(cfg: RunConfig, out: Path, pretrained: str | None) -> None:
         bank = MmtBank.init(cfg.model.embed_dim, cfg.seed)
     result = train(params, bank, ds, cfg.train, cfg.seed)
     arrays = {**params.as_arrays(), **bank.as_arrays()}
-    ckpt_cfg = {"model": cfg.model.to_dict(), "train": cfg.train.to_dict()}
+    ckpt_cfg = {"model": asdict(cfg.model), "train": asdict(cfg.train)}
     save_checkpoint(str(out / "model.ckpt"), arrays, ckpt_cfg, stage="finetune")
     _write_fit_log(out / "train_log.json", result)
     log.info(
@@ -134,11 +134,11 @@ def _score_cell(
     r_test: float,
 ) -> dict:
     """One cell of :func:`sweep`: accuracy per head of one model on the
-    test split ``ds``, with ``cfg.eval_missing`` missing at ``r_test``
+    test split ``ds``, with ``cfg.eval.missing`` missing at ``r_test``
     percent under the schedule of the split's seed."""
     rate = r_test / 100.0
-    variants = make_test_variants(ds.missing[cfg.eval_missing], [rate], ds.seed)
-    missing = {**ds.missing, cfg.eval_missing: variants[rate]}
+    variants = make_test_variants(ds.missing[cfg.eval.missing], [rate], ds.seed)
+    missing = {**ds.missing, cfg.eval.missing: variants[rate]}
     res = evaluate(params, bank, ds, missing, method)
     log.info("eval at r_test=%g%%, seed %d: mean accuracy %.4f", r_test, ds.seed, res["mean"])
     return {name: (res["per_head"][h], res["n"]) for h, name in enumerate(params.config.head_names)}
@@ -152,7 +152,7 @@ def cmd_pretrain(args) -> int:
     cfg = _resolve(args)
     check_data_compat(cfg)
     out = _prepare_out(cfg)
-    ds = generate(cfg.synth, cfg.seed, cfg.n_train, split="train")
+    ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
     params = MbtParameters.init(cfg.model, cfg.seed)
     dec = MaeDecoders.init(cfg.model, cfg.mae, cfg.seed)
     result = mae_train(params, dec, ds, cfg.mae, cfg.seed)
@@ -175,12 +175,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
     check_data_compat(cfg)
-    method = SubstitutionMethod.parse(args.method or cfg.eval_method)
-    rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval_rates)
-    check_feasible_rates(cfg, "--rtest", rates, cfg.n_test)
+    method = SubstitutionMethod.parse(args.method or cfg.eval.method)
+    rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval.rates)
+    check_feasible_rates(cfg, "--rtest", rates, cfg.data.n_test)
     out = _prepare_out(cfg)
     params, bank = _load_finetune(args.checkpoint or str(out / "model.ckpt"))
-    ds = generate(cfg.synth, cfg.seed, cfg.n_test, split="test")
+    ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     cells = [
         {"method": method.value, "r_test": r, "seed": cfg.seed, "heads": params.config.head_names}
         for r in rates
@@ -199,7 +199,7 @@ def cmd_eval(args) -> int:
 
 def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "p":
-        targets = tuple(cfg.train.replace_probs) or (cfg.eval_missing,)
+        targets = tuple(cfg.train.replace_probs) or (cfg.eval.missing,)
         probs = {m: value for m in targets}
         return replace(cfg, train=replace(cfg.train, replace_probs=probs))
     if axis == "fusion_layer":
@@ -207,7 +207,7 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             raise ConfigError(f"fusion_layer grid values must be integers, got {value}")
         return replace(cfg, model=replace(cfg.model, fusion_layer=int(value)))
     if axis == "r_train":
-        induced = {cfg.eval_missing: value / 100.0}
+        induced = {cfg.eval.missing: value / 100.0}
         return replace(cfg, train=replace(cfg.train, induced_missing=induced))
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
@@ -216,14 +216,13 @@ def _cell_dir(out: Path, axis: str, value: float, seed: int) -> Path:
     return out / "cells" / f"{axis}={value:g}-seed={seed}"
 
 
-def _ensure_cell_model(out: str, cfg_dict: dict, axis: str, value: float, seed: int) -> str:
+def _ensure_cell_model(out: str, cfg: RunConfig, axis: str, value: float, seed: int) -> str:
     """Train one sweep cell's model if its checkpoint is not there yet.
 
     Module-level so a process pool can run cells concurrently; each cell
     owns its subdirectory and touches nothing shared.
     """
-    cfg = load_run_config(cfg_dict, {"seed": seed})
-    cfg = _apply_axis(cfg, axis, value)
+    cfg = _apply_axis(replace(cfg, seed=seed), axis, value)
     cell = _cell_dir(Path(out), axis, value, seed)
     cell.mkdir(parents=True, exist_ok=True)
     ckpt = cell / "model.ckpt"
@@ -245,11 +244,11 @@ def cmd_sweep(args) -> int:
     for value in grid:  # reject a bad grid before any cell trains
         _apply_axis(cfg, axis, value)
     if axis == "r_train":
-        check_feasible_rates(cfg, "--grid", grid, cfg.n_train)
-    method = SubstitutionMethod.parse(cfg.eval_method)
+        check_feasible_rates(cfg, "--grid", grid, cfg.data.n_train)
+    method = SubstitutionMethod.parse(cfg.eval.method)
 
     pending = [
-        (str(out), cfg.to_json_dict(), axis, value, seed)
+        (str(out), cfg, axis, value, seed)
         for value in grid
         for seed in cfg.seeds
         if not _cell_dir(out, axis, value, seed).joinpath("model.ckpt").exists()
@@ -274,7 +273,7 @@ def cmd_sweep(args) -> int:
         }
         for value in grid
         for seed in cfg.seeds
-        for r in cfg.eval_rates
+        for r in cfg.eval.rates
     ]
 
     loaded: dict[tuple, tuple] = {}
@@ -284,7 +283,7 @@ def cmd_sweep(args) -> int:
         if key not in loaded:
             loaded[key] = _load_finetune(str(_cell_dir(out, axis, *key) / "model.ckpt"))
         # the axis changes neither the generator nor the eval settings
-        ds = generate(cfg.synth, cell["seed"], cfg.n_test, split="test")
+        ds = generate(cfg.synth, cell["seed"], cfg.data.n_test, split="test")
         return _score_cell(cfg, *loaded[key], ds, method, cell["r_test"])
 
     sweep(cells, run_cell, table, str(metrics_path))

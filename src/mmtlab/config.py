@@ -1,151 +1,121 @@
 """Run configuration: one JSON file drives data, model, training, and eval.
 
-The file is a strict schema: every key must be a known field of its
-section, and violations are reported all at once with full dotted paths.
-Unset fields fall back to desk-scale defaults, and every command writes
-the fully resolved config next to its outputs so a run can be re-derived
-from its artifacts alone.
+The dataclass tree below is the JSON tree: :class:`RunConfig` has one
+field per top-level key and one dataclass per section, and
+:func:`mmtlab.schema.decode` reads a file against it with the same rules
+it applies to sweep cells and checkpoint headers:
+
+* a key left out keeps its default, at every depth, so a partial
+  ``model.audio`` fills in from the default geometry;
+* unknown keys, values of the wrong JSON type (``bool`` is not ``int``;
+  an ``int`` is accepted for a ``float``) and non-objects where a section
+  belongs fail together in one SchemaError naming their dotted paths;
+* a ``dict`` field (``replace_probs``, ``gains``, ...) is data: a given
+  dict replaces its default whole, and its values are type-checked;
+* values of the right type that break an invariant (a negative rate, an
+  infeasible eval rate, ...) fail in the section's ``__post_init__`` with
+  a ConfigError.
+
+So an impossible request fails when the config loads. Every command
+writes the fully resolved config (``dataclasses.asdict``) next to its
+outputs, so a run can be re-derived from its artifacts alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError
 from .mae import MaeConfig
 from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
+from .schema import decode
 from .synthdata import SynthConfig
-from .tokenizer import SpectrogramGeometry, VideoGeometry
 from .training import TrainConfig
 
-_GEOMETRY_KEYS = {
-    "audio": {f.name for f in fields(SpectrogramGeometry)},
-    "video": {f.name for f in fields(VideoGeometry)},
-}
+
+@dataclass(frozen=True)
+class DataConfig:
+    """How many samples each split generates."""
+
+    n_train: int = 2000
+    n_test: int = 500
+
+    def __post_init__(self):
+        if self.n_train < 1 or self.n_test < 1:
+            raise ConfigError("n_train and n_test must be positive")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """How ``eval`` and ``sweep`` score a model."""
+
+    method: str = "mmt"
+    missing: str = "video"  # modality dropped at test time
+    rates: tuple[float, ...] = (0.0, 25.0, 50.0, 75.0, 100.0)  # percent
+
+    def __post_init__(self):
+        SubstitutionMethod.parse(self.method)
+        if self.missing not in MODALITIES:
+            raise ConfigError(f"eval missing modality {self.missing!r} unknown")
+        if not self.rates:
+            raise ConfigError("need at least one eval rate")
+        for r in self.rates:
+            if not 0.0 <= r <= 100.0:
+                raise ConfigError(f"eval rate {r} outside [0, 100] percent")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs, resolved and validated."""
 
-    synth: SynthConfig
-    model: ModelConfig
-    train: TrainConfig
-    mae: MaeConfig
-    n_train: int = 2000
-    n_test: int = 500
-    eval_method: str = "mmt"
-    eval_missing: str = "video"  # modality dropped at test time
-    eval_rates: tuple[float, ...] = (0.0, 25.0, 50.0, 75.0, 100.0)  # percent
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    mae: MaeConfig = field(default_factory=MaeConfig)
+    data: DataConfig = field(default_factory=DataConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 1
     seeds: tuple[int, ...] = (1, 2, 3)
     out: str = "runs/out"
 
     def __post_init__(self):
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("n_train and n_test must be positive")
-        SubstitutionMethod.parse(self.eval_method)
-        if self.eval_missing not in MODALITIES:
-            raise ConfigError(f"eval missing modality {self.eval_missing!r} unknown")
-        if not self.eval_rates:
-            raise ConfigError("need at least one eval rate")
-        for r in self.eval_rates:
-            if not 0.0 <= r <= 100.0:
-                raise ConfigError(f"eval rate {r} outside [0, 100] percent")
         if not self.seeds:
             raise ConfigError("need at least one sweep seed")
-        check_feasible_rates(self, "eval.rates", self.eval_rates, self.n_test)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "synth": self.synth.to_dict(),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "mae": self.mae.to_dict(),
-            "data": {"n_train": self.n_train, "n_test": self.n_test},
-            "eval": {
-                "method": self.eval_method,
-                "missing": self.eval_missing,
-                "rates": list(self.eval_rates),
-            },
-            "seed": self.seed,
-            "seeds": list(self.seeds),
-            "out": self.out,
-        }
+        check_feasible_rates(self, "eval.rates", self.eval.rates, self.data.n_test)
 
     def save(self, path: str) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
 
 def check_feasible_rates(cfg: RunConfig, what: str, rates_pct, n: int) -> None:
-    """Reject percent rates of ``eval_missing`` below its natural rate.
+    """Reject percent rates of ``eval.missing`` below its natural rate.
 
     Uses the generator's and the schedules' own arithmetic: ``int(rate *
     n)`` samples are missing at a rate, and ``int(natural * n)`` of them
     are absent in the data already, which no schedule can restore.
     """
-    natural = cfg.synth.natural_missing.get(cfg.eval_missing, 0.0)
+    missing = cfg.eval.missing
+    natural = cfg.synth.natural_missing.get(missing, 0.0)
     floor = int(natural * n)
     for r in rates_pct:
         if int(r / 100.0 * n) < floor:
             raise ConfigError(
                 f"{what}: {r:g}% of {n} samples is {int(r / 100.0 * n)}, below the "
-                f"{floor} with {cfg.eval_missing} naturally absent ({natural:.0%}); "
+                f"{floor} with {missing} naturally absent ({natural:.0%}); "
                 f"rates must start at the natural rate"
             )
 
 
-_TOP_KEYS = {"synth", "model", "train", "mae", "data", "eval", "seed", "seeds", "out"}
-_DATA_KEYS = {"n_train", "n_test"}
-_EVAL_KEYS = {"method", "missing", "rates"}
-
-
-def _collect_unknown(given: dict, allowed: set, prefix: str, bad: list) -> None:
-    for key in given:
-        if key not in allowed:
-            bad.append(f"{prefix}{key}")
-
-
-def _section(raw: dict, name: str, cfg_cls, bad: list) -> dict:
-    """Validate one section's keys against its dataclass; return the dict."""
-    given = raw.get(name, {})
-    if not isinstance(given, dict):
-        bad.append(name)
-        return {}
-    allowed = {f.name for f in fields(cfg_cls)}
-    _collect_unknown(given, allowed, f"{name}.", bad)
-    for mod in MODALITIES:
-        geo = given.get(mod)
-        if isinstance(geo, dict):
-            _collect_unknown(geo, _GEOMETRY_KEYS[mod], f"{name}.{mod}.", bad)
-    return {k: v for k, v in given.items() if k in allowed}
-
-
-def _build_section(name: str, cfg_cls, given: dict):
-    """Construct a section config from defaults overridden by given keys."""
-    if name == "synth":
-        base = SynthConfig().to_dict()
-    elif name == "model":
-        base = ModelConfig(SynthConfig().audio, SynthConfig().video).to_dict()
-    elif name == "train":
-        base = TrainConfig().to_dict()
-    else:
-        base = MaeConfig().to_dict()
-    base.update(given)
-    return cfg_cls.from_dict(base)
-
-
 def load_run_config(source, overrides: dict | None = None) -> RunConfig:
-    """Parse a config dict or JSON file path into a resolved RunConfig.
+    """Decode a config dict or JSON file path into a resolved RunConfig.
 
-    ``overrides`` (from CLI flags) replace top-level scalars after the
-    file is read. Unknown keys anywhere raise one SchemaError naming all
-    of them.
+    ``overrides`` (from CLI flags) replace top-level keys before decoding;
+    a None value leaves the file's value.
     """
     if isinstance(source, str):
         with open(source) as f:
@@ -154,60 +124,10 @@ def load_run_config(source, overrides: dict | None = None) -> RunConfig:
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{source}: not valid JSON ({e})") from None
     else:
-        raw = dict(source)
-    if not isinstance(raw, dict):
-        raise SchemaError("config root must be a JSON object", ["<root>"])
-
-    bad: list[str] = []
-    _collect_unknown(raw, _TOP_KEYS, "", bad)
-    sections = {
-        "synth": _section(raw, "synth", SynthConfig, bad),
-        "model": _section(raw, "model", ModelConfig, bad),
-        "train": _section(raw, "train", TrainConfig, bad),
-        "mae": _section(raw, "mae", MaeConfig, bad),
-    }
-    data = raw.get("data", {})
-    if isinstance(data, dict):
-        _collect_unknown(data, _DATA_KEYS, "data.", bad)
-    else:
-        bad.append("data")
-        data = {}
-    ev = raw.get("eval", {})
-    if isinstance(ev, dict):
-        _collect_unknown(ev, _EVAL_KEYS, "eval.", bad)
-    else:
-        bad.append("eval")
-        ev = {}
-    if bad:
-        raise SchemaError(f"unknown config keys: {', '.join(sorted(bad))}", sorted(bad))
-
-    kwargs = dict(
-        synth=_build_section("synth", SynthConfig, sections["synth"]),
-        model=_build_section("model", ModelConfig, sections["model"]),
-        train=_build_section("train", TrainConfig, sections["train"]),
-        mae=_build_section("mae", MaeConfig, sections["mae"]),
-    )
-    if "n_train" in data:
-        kwargs["n_train"] = int(data["n_train"])
-    if "n_test" in data:
-        kwargs["n_test"] = int(data["n_test"])
-    if "method" in ev:
-        kwargs["eval_method"] = str(ev["method"])
-    if "missing" in ev:
-        kwargs["eval_missing"] = str(ev["missing"])
-    if "rates" in ev:
-        kwargs["eval_rates"] = tuple(float(r) for r in ev["rates"])
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    if "seeds" in raw:
-        kwargs["seeds"] = tuple(int(s) for s in raw["seeds"])
-    if "out" in raw:
-        kwargs["out"] = str(raw["out"])
-
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+        raw = source
+    if isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    return decode(RunConfig, raw)
 
 
 def check_data_compat(cfg: RunConfig) -> None:
@@ -217,7 +137,7 @@ def check_data_compat(cfg: RunConfig) -> None:
         problems.append("audio geometry differs between model and synth")
     if cfg.model.video != cfg.synth.video:
         problems.append("video geometry differs between model and synth")
-    if tuple(cfg.model.n_classes) != tuple(cfg.synth.n_classes):
+    if cfg.model.n_classes != cfg.synth.n_classes:
         problems.append("n_classes differs between model and synth")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -14,7 +14,7 @@ at fine-tuning time, which replaces content before encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,14 @@ from .model import (
     MbtParameters,
     ModelConfig,
     ParamSet,
+    decode_header,
     encode_sequences,
+    init_block,
     load_checkpoint,
-    reject_unknown_keys,
     run_block,
     save_checkpoint,
 )
-from .optim import FitResult, fit
+from .optim import FitResult, check_fit_settings, fit
 from .rng import Stream
 from .synthdata import SynthDataset
 
@@ -72,12 +73,7 @@ class MaeConfig:
             raise ConfigError(
                 f"decoder_dim {self.decoder_dim} not divisible by {self.decoder_heads} heads"
             )
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if self.base_lr <= 0.0:
-            raise ConfigError("base_lr must be positive")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ConfigError("warmup_frac outside [0, 1)")
+        check_fit_settings(self)
 
     def mask_ratio(self, modality: str) -> float:
         if modality == "audio":
@@ -85,16 +81,6 @@ class MaeConfig:
         if modality == "video":
             return self.mask_ratio_video
         raise ConfigError(f"no mask ratio for modality {modality!r}")
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MaeConfig":
-        reject_unknown_keys(cls, d)
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +154,7 @@ class MaeDecoders(ParamSet):
             t[f"{m}.dec.mask"] = normal(dd)
             t[f"{m}.dec.pos"] = normal(n, dd)
             for l in range(mae.decoder_depth):
-                pre = f"{m}.dec.layers.{l}"
-                t[f"{pre}.ln1.g"] = Tensor(np.ones(dd))
-                t[f"{pre}.ln1.b"] = Tensor(np.zeros(dd))
-                t[f"{pre}.wqkv"] = normal(dd, 3 * dd)
-                t[f"{pre}.bqkv"] = Tensor(np.zeros(3 * dd))
-                t[f"{pre}.wo"] = normal(dd, dd)
-                t[f"{pre}.bo"] = Tensor(np.zeros(dd))
-                t[f"{pre}.ln2.g"] = Tensor(np.ones(dd))
-                t[f"{pre}.ln2.b"] = Tensor(np.zeros(dd))
-                t[f"{pre}.mlp.w1"] = normal(dd, _DEC_MLP_RATIO * dd)
-                t[f"{pre}.mlp.b1"] = Tensor(np.zeros(_DEC_MLP_RATIO * dd))
-                t[f"{pre}.mlp.w2"] = normal(_DEC_MLP_RATIO * dd, dd)
-                t[f"{pre}.mlp.b2"] = Tensor(np.zeros(dd))
+                init_block(t, f"{m}.dec.layers.{l}", dd, _DEC_MLP_RATIO * dd, normal)
             t[f"{m}.dec.out_ln.g"] = Tensor(np.ones(dd))
             t[f"{m}.dec.out_ln.b"] = Tensor(np.zeros(dd))
             t[f"{m}.dec.head.w"] = normal(dd, pd)
@@ -330,7 +304,7 @@ def mae_train(
 
 def save_pretrained(path: str, params: MbtParameters, dec: MaeDecoders) -> None:
     arrays = {**params.as_arrays(), **dec.as_arrays()}
-    config = {"model": params.config.to_dict(), "mae": dec.mae.to_dict()}
+    config = {"model": asdict(params.config), "mae": asdict(dec.mae)}
     save_checkpoint(path, arrays, config, stage="pretrain")
 
 
@@ -338,8 +312,8 @@ def load_pretrained(path: str) -> tuple[MbtParameters, MaeDecoders]:
     arrays, config, stage = load_checkpoint(path)
     if stage != "pretrain":
         raise CheckpointError(f"expected a pretrain checkpoint, got stage {stage!r}")
-    mcfg = ModelConfig.from_dict(config["model"])
-    acfg = MaeConfig.from_dict(config["mae"])
+    mcfg = decode_header(ModelConfig, config, "model", path)
+    acfg = decode_header(MaeConfig, config, "mae", path)
     enc = {k: v for k, v in arrays.items() if ".dec." not in k}
     rest = {k: v for k, v in arrays.items() if ".dec." in k}
     return MbtParameters.from_arrays(mcfg, enc), MaeDecoders.from_arrays(mcfg, acfg, rest)

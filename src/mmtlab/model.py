@@ -25,32 +25,26 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, DimensionError
+from .errors import CheckpointError, ConfigError, DimensionError, SchemaError
 from .rng import Stream
-from .tokenizer import MODALITIES, SpectrogramGeometry, VideoGeometry
+from .schema import decode
+from .tokenizer import DESK_AUDIO, DESK_VIDEO, MODALITIES, SpectrogramGeometry, VideoGeometry
 
 ARCHS = ("bottleneck", "full_sa", "unimodal:audio", "unimodal:video")
-
-
-def reject_unknown_keys(cls, d: dict) -> None:
-    """A saved config with keys ``cls`` lacks was written by another version."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise CheckpointError(f"saved {cls.__name__} has unknown keys {unknown}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Geometry and width of the two-stream classifier."""
 
-    audio: SpectrogramGeometry
-    video: VideoGeometry
+    audio: SpectrogramGeometry = DESK_AUDIO
+    video: VideoGeometry = DESK_VIDEO
     embed_dim: int = 32
     layers: int = 4
     heads: int = 4
@@ -97,23 +91,6 @@ class ModelConfig:
         if modality == "video":
             return self.video
         raise ConfigError(f"unknown modality {modality!r}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_classes"] = list(self.n_classes)
-        d["head_names"] = list(self.head_names)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`, as read back from a checkpoint."""
-        reject_unknown_keys(cls, d)
-        d = dict(d)
-        d["audio"] = SpectrogramGeometry(**d["audio"])
-        d["video"] = VideoGeometry(**d["video"])
-        d["n_classes"] = tuple(d["n_classes"])
-        d["head_names"] = tuple(d["head_names"])
-        return cls(**d)
 
     def parameter_count(self) -> int:
         """Closed-form size of an :class:`MbtParameters` instance."""
@@ -211,19 +188,7 @@ class MbtParameters(ParamSet):
             t[f"{m}.cls"] = normal(d)
             t[f"{m}.pos"] = normal(n + 1, d)
             for l in range(config.layers):
-                p = f"{m}.layers.{l}"
-                t[f"{p}.ln1.g"] = Tensor(np.ones(d))
-                t[f"{p}.ln1.b"] = Tensor(np.zeros(d))
-                t[f"{p}.wqkv"] = normal(d, 3 * d)
-                t[f"{p}.bqkv"] = Tensor(np.zeros(3 * d))
-                t[f"{p}.wo"] = normal(d, d)
-                t[f"{p}.bo"] = Tensor(np.zeros(d))
-                t[f"{p}.ln2.g"] = Tensor(np.ones(d))
-                t[f"{p}.ln2.b"] = Tensor(np.zeros(d))
-                t[f"{p}.mlp.w1"] = normal(d, config.mlp_ratio * d)
-                t[f"{p}.mlp.b1"] = Tensor(np.zeros(config.mlp_ratio * d))
-                t[f"{p}.mlp.w2"] = normal(config.mlp_ratio * d, d)
-                t[f"{p}.mlp.b2"] = Tensor(np.zeros(d))
+                init_block(t, f"{m}.layers.{l}", d, config.mlp_ratio * d, normal)
             t[f"{m}.out_ln.g"] = Tensor(np.ones(d))
             t[f"{m}.out_ln.b"] = Tensor(np.zeros(d))
             for h, n_cls in enumerate(config.n_classes):
@@ -235,6 +200,27 @@ class MbtParameters(ParamSet):
 
 # ---------------------------------------------------------------------------
 # forward passes
+
+
+def init_block(t: dict, prefix: str, d: int, hidden: int, normal) -> None:
+    """Add the parameters :func:`run_block` reads under ``prefix`` to ``t``.
+
+    ``d`` is the block width and ``hidden`` the MLP width; weights come
+    from ``normal(*shape)`` in a fixed draw order, gains and biases are
+    ones and zeros.
+    """
+    t[f"{prefix}.ln1.g"] = Tensor(np.ones(d))
+    t[f"{prefix}.ln1.b"] = Tensor(np.zeros(d))
+    t[f"{prefix}.wqkv"] = normal(d, 3 * d)
+    t[f"{prefix}.bqkv"] = Tensor(np.zeros(3 * d))
+    t[f"{prefix}.wo"] = normal(d, d)
+    t[f"{prefix}.bo"] = Tensor(np.zeros(d))
+    t[f"{prefix}.ln2.g"] = Tensor(np.ones(d))
+    t[f"{prefix}.ln2.b"] = Tensor(np.zeros(d))
+    t[f"{prefix}.mlp.w1"] = normal(d, hidden)
+    t[f"{prefix}.mlp.b1"] = Tensor(np.zeros(hidden))
+    t[f"{prefix}.mlp.w2"] = normal(hidden, d)
+    t[f"{prefix}.mlp.b2"] = Tensor(np.zeros(d))
 
 
 def run_block(p, prefix: str, x: Tensor, heads: int, eps: float) -> Tensor:
@@ -349,24 +335,21 @@ def _encode_full_sa(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor]
     """Concatenated-sequence fusion: one shared stack from the fusion layer.
 
     Layers below ``fusion_layer`` run per modality as usual; from there the
-    sequences are joined and the audio-stack blocks process every token
-    jointly (the video stack's upper blocks are simply unused in this
-    mode). No bottleneck tokens take part.
+    sequences of the modalities present are joined and the audio-stack
+    blocks process every token jointly (the video stack's upper blocks are
+    simply unused in this mode). No bottleneck tokens take part.
     """
     cfg = p.config
-    if list(x) != list(MODALITIES):
-        raise DimensionError("full self-attention fusion needs every modality present")
     x = _run_stacks(p, x, range(min(cfg.fusion_layer, cfg.layers)))
 
     if cfg.fusion_layer < cfg.layers:
-        joint = ad.concat([x[m] for m in MODALITIES], axis=1)
+        joint = ad.concat(list(x.values()), axis=1)
         for l in range(cfg.fusion_layer, cfg.layers):
             joint = _block(p, f"{MODALITIES[0]}.layers.{l}", joint)
         offset = 0
-        for m in MODALITIES:
-            n = cfg.tokens(m) + 1
-            x[m] = ad.narrow(joint, 1, offset, n)
-            offset += n
+        for m, seq in x.items():
+            x[m] = ad.narrow(joint, 1, offset, seq.shape[1])
+            offset += seq.shape[1]
 
     return x
 
@@ -382,7 +365,8 @@ def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
     The bottleneck arch runs on whichever modalities are present: with a
     single one the bottleneck still runs but exchanges with nothing, which
     is the evaluation path for samples whose other modality is skipped.
-    Full self-attention needs both; a unimodal arch runs its one stack.
+    Full self-attention joins whichever are present; a unimodal arch runs
+    its one stack.
     """
     cfg = p.config
     present = [m for m in cfg.input_modalities if m in content]
@@ -514,3 +498,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, str]:
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
     return arrays, config, stage
+
+
+def decode_header(cls, config: dict, section: str, path: str):
+    """Section ``section`` of a checkpoint's config, decoded as ``cls``.
+
+    A header that does not decode was written by another version; that is
+    a CheckpointError naming the keys that do not fit.
+    """
+    try:
+        return decode(cls, config.get(section))
+    except SchemaError as e:
+        raise CheckpointError(f"{path}: saved {section} config does not fit: {e}") from None

@@ -88,6 +88,19 @@ class AdamW:
             p.grad = None
 
 
+def check_fit_settings(cfg) -> None:
+    """Reject settings :func:`fit` cannot run: it reads epochs, batch_size,
+    base_lr, weight_decay and warmup_frac from its config."""
+    if cfg.epochs < 1 or cfg.batch_size < 1:
+        raise ConfigError("epochs and batch_size must be positive")
+    if cfg.base_lr <= 0.0:
+        raise ConfigError("base_lr must be positive")
+    if cfg.weight_decay < 0.0:
+        raise ConfigError("weight_decay cannot be negative")
+    if not 0.0 <= cfg.warmup_frac < 1.0:
+        raise ConfigError("warmup_frac outside [0, 1)")
+
+
 @dataclass
 class FitResult:
     history: list  # per-epoch {"epoch", "loss", "lr"}

@@ -37,6 +37,8 @@ from scipy.stats import norm
 from .errors import ConfigError
 from .rng import Stream, sample_rng
 from .tokenizer import (
+    DESK_AUDIO,
+    DESK_VIDEO,
     MODALITIES,
     SpectrogramGeometry,
     VideoGeometry,
@@ -49,18 +51,14 @@ from .tokenizer import (
 class SynthConfig:
     """Shape and signal strength of one generated task."""
 
-    audio: SpectrogramGeometry = SpectrogramGeometry(
-        bins=16, frames=64, patch_bins=8, patch_frames=8
-    )
-    video: VideoGeometry = VideoGeometry(
-        frames=4, height=32, width=32, patch_t=2, patch_h=8, patch_w=8
-    )
+    audio: SpectrogramGeometry = DESK_AUDIO
+    video: VideoGeometry = DESK_VIDEO
     n_classes: tuple[int, ...] = (4, 3)
-    gains: dict = field(
+    gains: dict[str, tuple[float, ...]] = field(
         default_factory=lambda: {"audio": (1.4, 1.3), "video": (1.6, 1.5)}
     )
     noise_sigma: float = 1.0
-    natural_missing: dict = field(default_factory=dict)
+    natural_missing: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.noise_sigma <= 0:
@@ -101,22 +99,6 @@ class SynthConfig:
         total = sum(self.gains[m][head] ** 2 for m in subset)
         return float(np.sqrt(total) / self.noise_sigma)
 
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        d = asdict(self)
-        d["n_classes"] = list(self.n_classes)
-        d["gains"] = {m: list(g) for m, g in self.gains.items()}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        d = dict(d)
-        d["audio"] = SpectrogramGeometry(**d["audio"])
-        d["video"] = VideoGeometry(**d["video"])
-        d["n_classes"] = tuple(d["n_classes"])
-        d["gains"] = {m: tuple(g) for m, g in d["gains"].items()}
-        return cls(**d)
 
 
 @lru_cache(maxsize=8)

@@ -101,6 +101,11 @@ class VideoGeometry:
         return self.patch_t * self.patch_h * self.patch_w
 
 
+# the desk-scale geometry the generator and the model default to
+DESK_AUDIO = SpectrogramGeometry(bins=16, frames=64, patch_bins=8, patch_frames=8)
+DESK_VIDEO = VideoGeometry(frames=4, height=32, width=32, patch_t=2, patch_h=8, patch_w=8)
+
+
 def spectrogram_patches(x: np.ndarray, geom: SpectrogramGeometry) -> np.ndarray:
     """(batch, bins, frames) -> (batch, tokens, patch_dim), row-major grid."""
     if x.ndim != 3 or x.shape[1] != geom.bins or x.shape[2] != geom.frames:

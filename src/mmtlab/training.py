@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .errors import ConfigError, DataError
 from .missing import MmtBank, TrainMissingPolicy, random_replace, replace_with_mmt
 from .model import MODALITIES, MbtParameters, embed_content, forward
-from .optim import FitResult, fit
+from .optim import FitResult, check_fit_settings, fit
 from .protocol import build_schedule, class_weights, weighted_cross_entropy
 from .rng import Stream
 from .synthdata import SynthDataset
@@ -39,32 +39,19 @@ class TrainConfig:
     base_lr: float = 3e-3
     weight_decay: float = 0.02
     warmup_frac: float = 0.1
-    replace_probs: dict = field(default_factory=dict)
-    induced_missing: dict = field(default_factory=dict)
+    replace_probs: dict[str, float] = field(default_factory=dict)
+    induced_missing: dict[str, float] = field(default_factory=dict)
     use_class_weights: bool = False
     filter_incomplete: bool = False
-    train_mmt: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ConfigError("warmup_frac outside [0, 1)")
+        check_fit_settings(self)
         for m, r in self.induced_missing.items():
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r} in induced_missing")
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"induced_missing[{m!r}] = {r} outside [0, 1]")
         TrainMissingPolicy(self.replace_probs)  # validates probabilities
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def training_missing_masks(ds: SynthDataset, tcfg: TrainConfig, seed: int) -> dict:
@@ -91,8 +78,15 @@ def train(
     tcfg: TrainConfig,
     seed: int,
 ) -> FitResult:
-    """Fit the classifier; ``kept`` counts the samples left after filtering."""
+    """Fit the classifier; ``kept`` counts the samples left after filtering.
+
+    ``bank`` may be None only when no sample is substituted: no random
+    replacement, and no incomplete sample left after filtering.
+    """
     cfg = params.config
+    policy = TrainMissingPolicy(tcfg.replace_probs)
+    if policy.active and bank is None:
+        raise ConfigError("random replacement (train.replace_probs) needs the token bank")
     masks = training_missing_masks(ds, tcfg, seed)
 
     ids = np.arange(len(ds))
@@ -107,15 +101,13 @@ def train(
         any_missing = np.zeros(len(ds), dtype=bool)
         for m in MODALITIES:
             any_missing |= masks[m]
-        if any_missing.any() and (bank is None or not tcfg.train_mmt):
+        if any_missing.any() and bank is None:
             raise ConfigError(
-                "incomplete training samples need the token bank; "
-                "filter them out or enable train_mmt"
+                "incomplete training samples need the token bank; filter them out"
             )
 
     labels = ds.labels[ids]
     natural = {m: masks[m][ids] for m in MODALITIES}
-    policy = TrainMissingPolicy(tcfg.replace_probs)
 
     weights = None
     if tcfg.use_class_weights:
@@ -150,5 +142,5 @@ def train(
             loss = part if loss is None else ad.add(loss, part)
         return loss
 
-    param_sets = [params] + ([bank] if bank is not None and tcfg.train_mmt else [])
+    param_sets = [params] + ([bank] if bank is not None else [])
     return fit(param_sets, len(ids), tcfg, seed, batch_loss, new_epoch)

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from mmtlab.missing import MmtBank, SubstitutionMethod
 from mmtlab.model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
 from mmtlab.protocol import MetricsTable, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
+from mmtlab.schema import decode
 from mmtlab.synthdata import generate
+from mmtlab.tokenizer import DESK_AUDIO
 
 
 MICRO_GEO = {
@@ -108,6 +111,44 @@ def test_unknown_keys_are_rejected_with_full_paths():
     assert e.value.offending_keys == ("bogus", "model.widht", "synth.audio.bin")
 
 
+@pytest.mark.parametrize(
+    "section, values, path",
+    [
+        ("train", {"epochs": "16"}, "train.epochs"),
+        ("model", {"layers": True}, "model.layers"),
+        ("eval", {"rates": "50"}, "eval.rates"),
+        ("data", {"n_train": 1.7}, "data.n_train"),
+        ("train", {"batch_size": 64.5}, "train.batch_size"),
+        ("train", {"replace_probs": {"video": "0.25"}}, "train.replace_probs.video"),
+        ("model", {"audio": 5}, "model.audio"),
+    ],
+)
+def test_wrong_typed_values_are_rejected_by_path(section, values, path):
+    cfg = json.loads(Path(preset_path("epic-kitchens-like")).read_text())
+    cfg[section] = {**cfg.get(section, {}), **values}
+    with pytest.raises(SchemaError) as e:
+        load_run_config(cfg)
+    assert e.value.offending_keys == (path,)
+    assert path in str(e.value)
+
+
+def test_partial_geometry_override_keeps_the_other_defaults():
+    cfg = load_run_config({"model": {"audio": {"frames": 32}}})
+    assert cfg.model.audio.frames == 32
+    assert (cfg.model.audio.bins, cfg.model.audio.patch_bins) == (DESK_AUDIO.bins, DESK_AUDIO.patch_bins)
+    assert cfg.model.audio.patch_frames == DESK_AUDIO.patch_frames
+    assert cfg.synth.audio == DESK_AUDIO
+
+
+@pytest.mark.parametrize("preset", ["ego4d-ar-like", "epic-kitchens-like", "epic-sounds-like", "reference-scale"])
+@pytest.mark.parametrize("section", ["synth", "model", "train", "mae", "run"])
+def test_decode_inverts_asdict(preset, section):
+    cfg = load_run_config(preset_path(preset))
+    x = cfg if section == "run" else getattr(cfg, section)
+    assert decode(type(x), asdict(x)) == x
+    assert decode(type(x), json.loads(json.dumps(asdict(x)))) == x
+
+
 def test_unknown_preset_lists_available_ones():
     with pytest.raises(ConfigError, match="epic-kitchens-like"):
         preset_path("not-a-preset")
@@ -116,7 +157,7 @@ def test_unknown_preset_lists_available_ones():
 def test_config_roundtrip_and_overrides(tmp_path):
     path = write_cfg(tmp_path)
     cfg = load_run_config(path)
-    again = load_run_config(cfg.to_json_dict())
+    again = load_run_config(asdict(cfg))
     assert again == cfg
     winner = load_run_config(path, {"seed": 9, "out": "elsewhere"})
     assert winner.seed == 9 and winner.out == "elsewhere"
@@ -124,7 +165,7 @@ def test_config_roundtrip_and_overrides(tmp_path):
 
 def test_eval_rates_below_the_natural_rate_fail_at_load():
     eg = json.loads(Path(preset_path("ego4d-ar-like")).read_text())
-    assert load_run_config(eg).eval_rates[0] == 27.0  # int(0.27 * n) on both sides
+    assert load_run_config(eg).eval.rates[0] == 27.0  # int(0.27 * n) on both sides
     eg["eval"]["rates"] = [25, 50]
     with pytest.raises(ConfigError, match="eval.rates: 25% of"):
         load_run_config(eg)
@@ -235,35 +276,43 @@ def test_desk_preset_runs_train_eval_report(tmp_path, preset):
     assert main(["report", str(run / "metrics.csv")]) == 0
     cfg = load_run_config(path)
     table = MetricsTable.load(str(run / "metrics.csv"))
-    want = {(r, h) for r in cfg.eval_rates for h in cfg.model.head_names}
+    want = {(r, h) for r in cfg.eval.rates for h in cfg.model.head_names}
     assert {(r, h) for _, r, h, *_ in table.rows} == want
     assert (run / "report.svg").exists()
 
 
-@pytest.mark.parametrize("arch", ["full_sa", "unimodal:audio"])
-def test_eval_scores_the_arch_the_model_was_trained_with(tmp_path, arch):
+@pytest.mark.parametrize(
+    "arch, method",
+    [
+        pytest.param("full_sa", None, id="full_sa"),
+        pytest.param("unimodal:audio", None, id="unimodal:audio"),
+        pytest.param("full_sa", "skip", id="full_sa-skip"),
+    ],
+)
+def test_eval_scores_the_arch_the_model_was_trained_with(tmp_path, arch, method):
     path = micro_preset(tmp_path, "epic-kitchens-like", arch=arch)
     assert main(["train", "--config", path]) == 0
-    assert main(["eval", "--config", path]) == 0
+    assert main(["eval", "--config", path] + (["--method", method] if method else [])) == 0
     run = tmp_path / "run"
     arrays, ckpt_cfg, _ = load_checkpoint(str(run / "model.ckpt"))
-    mcfg = ModelConfig.from_dict(ckpt_cfg["model"])
+    mcfg = decode(ModelConfig, ckpt_cfg["model"])
     assert mcfg.arch == arch
     mmt = {k: v for k, v in arrays.items() if k.startswith("mmt.")}
     params = MbtParameters.from_arrays(mcfg, {k: v for k, v in arrays.items() if k not in mmt})
     bank = MmtBank.from_arrays(mcfg.embed_dim, mmt)
 
     cfg = load_run_config(path)
-    ds = generate(cfg.synth, cfg.seed, cfg.n_test, split="test")
+    method = method or cfg.eval.method
+    ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     variants = make_test_variants(
-        ds.missing[cfg.eval_missing], [r / 100.0 for r in cfg.eval_rates], cfg.seed
+        ds.missing[cfg.eval.missing], [r / 100.0 for r in cfg.eval.rates], cfg.seed
     )
     direct = MetricsTable()
-    for r in cfg.eval_rates:
-        missing = {**ds.missing, cfg.eval_missing: variants[r / 100.0]}
-        res = evaluate(params, bank, ds, missing, SubstitutionMethod.parse(cfg.eval_method))
+    for r in cfg.eval.rates:
+        missing = {**ds.missing, cfg.eval.missing: variants[r / 100.0]}
+        res = evaluate(params, bank, ds, missing, SubstitutionMethod.parse(method))
         for h, name in enumerate(mcfg.head_names):
-            direct.add(cfg.eval_method, r, name, cfg.seed, res["per_head"][h], res["n"])
+            direct.add(method, r, name, cfg.seed, res["per_head"][h], res["n"])
     assert (run / "metrics.csv").read_text() == direct.to_csv()
 
 
@@ -304,7 +353,7 @@ def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys)
     path = write_cfg(tmp_path)
     mcfg = load_run_config(path).model
     params = MbtParameters.init(mcfg, seed=1)
-    legacy = {k: v for k, v in mcfg.to_dict().items() if k != "arch"}
+    legacy = {k: v for k, v in asdict(mcfg).items() if k != "arch"}
     legacy["fusion_mode"] = "bottleneck"  # the field that ``arch`` replaced
     ckpt = tmp_path / "legacy.ckpt"
     save_checkpoint(str(ckpt), params.as_arrays(), {"model": legacy}, stage="finetune")
@@ -316,13 +365,17 @@ def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys)
 
 
 def test_schema_violation_yields_error_record_with_keys(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"modle": {}}))
-    code = main(["train", "--config", str(bad)])
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "SchemaError"
-    assert record["offending_keys"] == ["modle"]
+    for raw, keys in (
+        ({"modle": {}}, ["modle"]),
+        ({"train": {"epochs": "16"}, "data": {"n_train": 1.7}}, ["data.n_train", "train.epochs"]),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["train", "--config", str(bad)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "SchemaError"
+        assert record["offending_keys"] == keys
 
 
 # ---------------------------------------------------------------------------

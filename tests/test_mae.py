@@ -1,6 +1,7 @@
 """Masked pretraining: masking laws, masked-only loss, encoder transfer."""
 
 import logging
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mmtlab.mae import (
 from mmtlab.missing import MmtBank
 from mmtlab.model import MbtParameters, load_checkpoint, save_checkpoint
 from mmtlab.rng import Stream
+from mmtlab.schema import decode
 from mmtlab.synthdata import generate
 from mmtlab.training import TrainConfig, train
 
@@ -272,7 +274,7 @@ def test_desk_and_reference_scale_configs_parse():
     assert (desk.decoder_depth, desk.decoder_heads, desk.decoder_dim) == (2, 4, 16)
     ref = MaeConfig(decoder_depth=4, decoder_heads=16, decoder_dim=512)
     assert (ref.decoder_depth, ref.decoder_heads, ref.decoder_dim) == (4, 16, 512)
-    assert MaeConfig.from_dict(ref.to_dict()) == ref
+    assert decode(MaeConfig, asdict(ref)) == ref
 
 
 def test_config_validation():
@@ -284,6 +286,8 @@ def test_config_validation():
         MaeConfig(decoder_dim=15, decoder_heads=4)
     with pytest.raises(ConfigError):
         MaeConfig(warmup_frac=1.0)
+    with pytest.raises(ConfigError, match="weight_decay"):
+        MaeConfig(weight_decay=-0.01)
     with pytest.raises(ConfigError):
         MaeConfig().mask_ratio("depth")
 
@@ -308,7 +312,7 @@ def test_pretrained_checkpoint_roundtrip(tmp_path):
 def test_load_pretrained_rejects_other_stages(tmp_path):
     ds, params, dec, acfg = setup_micro()
     path = str(tmp_path / "ft.ckpt")
-    save_checkpoint(path, params.as_arrays(), params.config.to_dict(), stage="finetune")
+    save_checkpoint(path, params.as_arrays(), asdict(params.config), stage="finetune")
     with pytest.raises(CheckpointError):
         load_pretrained(path)
 
@@ -341,7 +345,7 @@ def test_transfer_copies_encoder_and_refreshes_the_rest(tmp_path):
 
     # fine-tuning checkpoints carry no decoder weights and survive a round trip
     path = str(tmp_path / "ft.ckpt")
-    save_checkpoint(path, fresh.as_arrays(), fresh.config.to_dict(), stage="finetune")
+    save_checkpoint(path, fresh.as_arrays(), asdict(fresh.config), stage="finetune")
     arrays, _, stage = load_checkpoint(path)
     assert stage == "finetune"
     assert not any(".dec." in name for name in arrays)

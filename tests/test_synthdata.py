@@ -155,8 +155,3 @@ def test_config_validation():
         small_config(n_classes=(4, 1))
     with pytest.raises(ConfigError):
         generate(small_config(), seed=0, n=0)
-
-
-def test_config_roundtrips_through_dict():
-    cfg = small_config(natural_missing={"audio": 0.25, "video": 0.25})
-    assert SynthConfig.from_dict(cfg.to_dict()) == cfg

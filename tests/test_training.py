@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import micro_model_config, micro_synth_config
 from mmtlab.errors import ConfigError, DataError
 from mmtlab.missing import MmtBank
 from mmtlab.model import MbtParameters
+from mmtlab.schema import decode
 from mmtlab.synthdata import generate
 from mmtlab.training import TrainConfig, train, training_missing_masks
 
@@ -83,7 +85,7 @@ def test_mmt_token_updates_only_when_substitution_happens():
 def test_unimodal_training_leaves_other_stack_frozen():
     ds, params, bank = fresh(arch="unimodal:audio")
     before = snapshot(params)
-    train(params, None, ds, micro_train_config(train_mmt=False), seed=2)
+    train(params, None, ds, micro_train_config(), seed=2)
     after = snapshot(params)
     for k in before:
         if k.startswith("video.") or k == "z":
@@ -95,7 +97,7 @@ def test_full_sa_training_runs_and_uses_shared_stack():
     ds, params, bank = fresh(arch="full_sa")
     mcfg = params.config
     before = snapshot(params)
-    train(params, None, ds, micro_train_config(train_mmt=False), seed=2)
+    train(params, None, ds, micro_train_config(), seed=2)
     after = snapshot(params)
     top = mcfg.layers - 1
     # video's top block is unused in this mode, audio's is shared
@@ -107,10 +109,16 @@ def test_incomplete_data_requires_token_bank():
     scfg = micro_synth_config(natural_missing={"audio": 0.5})
     ds, params, bank = fresh(scfg=scfg)
     with pytest.raises(ConfigError):
-        train(params, None, ds, micro_train_config(train_mmt=False), seed=1)
+        train(params, None, ds, micro_train_config(), seed=1)
     # filtering is the sanctioned way to train without the bank
-    result = train(params, None, ds, micro_train_config(train_mmt=False, filter_incomplete=True), seed=1)
+    result = train(params, None, ds, micro_train_config(filter_incomplete=True), seed=1)
     assert result.kept == len(ds) - int(0.5 * len(ds))
+
+
+def test_random_replacement_requires_token_bank():
+    ds, params, bank = fresh()
+    with pytest.raises(ConfigError, match="replace_probs"):
+        train(params, None, ds, micro_train_config(replace_probs={"video": 0.25}), seed=1)
 
 
 def test_filtering_everything_is_an_error():
@@ -156,6 +164,10 @@ def test_class_weighted_training_runs():
 def test_config_validation_and_roundtrip():
     with pytest.raises(ConfigError):
         micro_train_config(epochs=0)
+    with pytest.raises(ConfigError, match="base_lr"):
+        micro_train_config(base_lr=0.0)
+    with pytest.raises(ConfigError, match="weight_decay"):
+        micro_train_config(weight_decay=-0.01)
     with pytest.raises(ConfigError):
         micro_model_config(arch="late_fusion")
     with pytest.raises(ConfigError):
@@ -163,4 +175,4 @@ def test_config_validation_and_roundtrip():
     with pytest.raises(ConfigError):
         micro_train_config(induced_missing={"depth": 0.5})
     tcfg = micro_train_config(replace_probs={"video": 0.25}, induced_missing={"video": 0.5})
-    assert TrainConfig.from_dict(tcfg.to_dict()) == tcfg
+    assert decode(TrainConfig, asdict(tcfg)) == tcfg
