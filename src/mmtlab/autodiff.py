@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 Every operation executes eagerly in numpy and, when a :class:`Tape` is
 active, records itself so gradients can be replayed. Replaying the tape in
@@ -7,9 +7,20 @@ reverse recording order is a reverse topological order by construction
 fan-out nodes. Ops executed with no active tape compute values only, which
 is the inference path.
 
-All data is float64. A non-finite value anywhere is an error state; enable
+Data is float32 or float64 and the dtype travels with the arrays: a
+:class:`Tensor` keeps the dtype of a float32 or float64 array and makes
+float64 of anything else, and every op computes in its inputs' dtype, so
+float32 parameters give a float32 forward, backward and optimizer. Op
+constants and buffers take the input's dtype; numpy promotes a float32
+array mixed with a float64 array, a 0-d float64 array or a numpy (not
+Python) scalar to float64. Training runs in float32; finite-difference
+gradchecks pass float64 arrays and run in float64.
+
+A non-finite value anywhere is an error state; enable
 ``set_debug_checks(True)`` to scan every op output (tests do), otherwise
-callers check at natural boundaries such as the loss.
+callers check at natural boundaries such as the loss. The same switch
+makes an op whose output is wider than its widest input an error, which
+catches a stray float64 constant or buffer in a float32 graph.
 
 Two fused ops cover the transformer block: :func:`multi_head_attention`
 takes the packed query/key/value projection and returns merged heads,
@@ -18,8 +29,8 @@ node with a hand-written backward. Built from primitives, attention took
 16 nodes (``narrow``, ``reshape`` and ``transpose`` to split and merge
 heads, two ``matmul``, ``scale``, ``softmax``), whose backward mostly
 zero-filled and copied ``qkv``-sized buffers; with the fused ops a block
-records 8 nodes instead of 26. They do the same float64 arithmetic in the
-same order as the composite, so results are bit for bit the same. The
+records 8 nodes instead of 26. They do the same arithmetic in the same
+order as the composite, so results are bit for bit the same. The
 primitives stay public and gradchecked.
 """
 
@@ -35,7 +46,8 @@ _DEBUG_CHECKS = False
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """Scan every op output for NaN/Inf. Slow; meant for tests."""
+    """Scan every op output for NaN/Inf and for a dtype wider than the op's
+    inputs. Slow; meant for tests."""
     global _DEBUG_CHECKS
     _DEBUG_CHECKS = bool(enabled)
 
@@ -80,12 +92,19 @@ class Tape:
 
 
 class Tensor:
-    """Dense float64 array plus gradient slot and graph linkage."""
+    """Dense float array plus gradient slot and graph linkage.
+
+    A float32 or float64 ndarray keeps its dtype (and is not copied);
+    anything else (Python numbers, lists, other dtypes) becomes float64.
+    """
 
     __slots__ = ("data", "grad", "inputs", "_backward")
 
     def __init__(self, data, inputs=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.inputs: tuple[Tensor, ...] = inputs
         self._backward = backward
@@ -128,24 +147,24 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    # operator sugar; scalars and ndarrays are wrapped as constants
+    # operator sugar; scalars and ndarrays are wrapped as constants in self's dtype
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(_wrap(other, self), self)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -154,13 +173,22 @@ class Tensor:
         return matmul(self, other)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _wrap(x, like: Tensor) -> Tensor:
+    """A constant operand, in ``like``'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _record(out: Tensor) -> Tensor:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
+    if _DEBUG_CHECKS:
+        if not np.all(np.isfinite(out.data)):
+            raise FloatingPointError("non-finite value produced by a forward op")
+        widest = max(t.data.dtype.itemsize for t in out.inputs)
+        if out.data.dtype.itemsize > widest:
+            op = out._backward.__qualname__.split(".")[0]
+            raise TypeError(
+                f"{op} widened its inputs to {out.data.dtype}: "
+                "a constant or buffer in the wrong dtype"
+            )
     if _ACTIVE_TAPE is not None and out._backward is not None:
         _ACTIVE_TAPE.nodes.append(out)
     else:
@@ -357,16 +385,20 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
+    """Contiguous slice along one axis.
+
+    Backward adds ``g`` into the slice of the input's gradient in place, so
+    the several narrows of one tensor share one buffer.
+    """
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = Tensor(a.data[idx].copy(), (a,))
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        a.accumulate_owned(full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[idx] += g
 
     out._backward = backward
     return _record(out)
@@ -374,8 +406,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    # a Python int: a numpy integer would promote float32 to float64
+    count = a.data.size if axis is None else math.prod(
+        a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))
     )
 
     def backward(g):
@@ -403,7 +436,10 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Per-sample row gather: out[b, i] = a[b, idx[b, i]] over the last axis.
 
     ``a`` is (batch, n, d) and ``idx`` is (batch, k) of row indices; the
-    backward pass scatter-adds, so repeated indices accumulate.
+    backward pass scatter-adds into the input's gradient, so repeated
+    indices accumulate. When every row's indices are distinct (the MAE
+    callers' case) a plain fancy-index ``+=`` gives the same sums, without
+    the much slower ``np.add.at``.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
@@ -412,9 +448,13 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(a.data[batch_ix, idx], (a,))
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (batch_ix, idx), g)
-        a.accumulate_owned(full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        ordered = np.sort(idx, axis=1)
+        if (ordered[:, 1:] != ordered[:, :-1]).all():
+            a.grad[batch_ix, idx] += g
+        else:
+            np.add.at(a.grad, (batch_ix, idx), g)
 
     out._backward = backward
     return _record(out)
@@ -577,13 +617,13 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    merged = np.empty(qkv.shape[:-1] + (d,))
+    merged = np.empty(qkv.shape[:-1] + (d,), dtype=qkv.data.dtype)
     np.matmul(att, v, out=_split_heads(merged, 1, heads)[0])
     out = Tensor(merged, (qkv,))
 
     def backward(g):
         gm = _split_heads(g, 1, heads)[0]
-        dqkv = np.empty(qkv.shape)
+        dqkv = np.empty(qkv.shape, dtype=qkv.data.dtype)
         dq, dk, dv = _split_heads(dqkv, 3, heads)
         np.matmul(np.swapaxes(att, -1, -2), gm, out=dv)
         # softmax backward att * (g - sum(g * att)), then the scale
@@ -637,7 +677,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray | None
     rows = np.arange(labels.shape[0])
     picked = pick(lp, rows, labels)
     if weights is not None:
-        picked = mul(picked, Tensor(-np.asarray(weights, dtype=np.float64)[labels]))
+        w = -np.asarray(weights, dtype=logits.data.dtype)[labels]
+        picked = mul(picked, Tensor(w))
     else:
         picked = scale(picked, -1.0)
     return mean(picked)

@@ -31,8 +31,11 @@ from .model import (
     encode_sequences,
     init_block,
     load_checkpoint,
+    normal_init,
+    ones,
     run_block,
     save_checkpoint,
+    zeros,
 )
 from .optim import FitResult, check_fit_settings, fit
 from .rng import Stream
@@ -140,25 +143,21 @@ class MaeDecoders(ParamSet):
 
     @classmethod
     def init(cls, config: ModelConfig, mae: MaeConfig, seed: int) -> "MaeDecoders":
-        rng = Stream(seed, "mae-init").numpy_rng()
+        normal = normal_init(Stream(seed, "mae-init").numpy_rng())
         d, dd = config.embed_dim, mae.decoder_dim
         t: dict[str, Tensor] = {}
-
-        def normal(*shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape))
-
         for m in MODALITIES:
             n, pd = config.tokens(m), config.patch_dim(m)
             t[f"{m}.dec.proj.w"] = normal(d, dd)
-            t[f"{m}.dec.proj.b"] = Tensor(np.zeros(dd))
+            t[f"{m}.dec.proj.b"] = zeros(dd)
             t[f"{m}.dec.mask"] = normal(dd)
             t[f"{m}.dec.pos"] = normal(n, dd)
             for l in range(mae.decoder_depth):
                 init_block(t, f"{m}.dec.layers.{l}", dd, _DEC_MLP_RATIO * dd, normal)
-            t[f"{m}.dec.out_ln.g"] = Tensor(np.ones(dd))
-            t[f"{m}.dec.out_ln.b"] = Tensor(np.zeros(dd))
+            t[f"{m}.dec.out_ln.g"] = ones(dd)
+            t[f"{m}.dec.out_ln.b"] = zeros(dd)
             t[f"{m}.dec.head.w"] = normal(dd, pd)
-            t[f"{m}.dec.head.b"] = Tensor(np.zeros(pd))
+            t[f"{m}.dec.head.b"] = zeros(pd)
         return cls(config, mae, t)
 
 
@@ -189,6 +188,7 @@ def mae_forward(
     d = mcfg.embed_dim
     batch = patches[present[0]].shape[0]
     batch_ix = np.arange(batch)[:, None]
+    dtype = params["z"].data.dtype  # inputs and targets take the parameters' dtype
 
     seqs = {}
     for m in present:
@@ -199,7 +199,7 @@ def mae_forward(
         )
         cls = ad.broadcast_to(ad.reshape(params[f"{m}.cls"], (1, 1, d)), (batch, 1, d))
         content = ad.linear(
-            Tensor(patches[m][batch_ix, vis]),
+            Tensor(patches[m][batch_ix, vis].astype(dtype, copy=False)),
             params[f"{m}.embed.w"],
             params[f"{m}.embed.b"],
         )
@@ -233,7 +233,7 @@ def mae_forward(
         )
         recon = ad.linear(full, dec[f"{m}.dec.head.w"], dec[f"{m}.dec.head.b"])
         recons[m] = recon
-        target = (targets or patches)[m][batch_ix, msk]
+        target = (targets or patches)[m][batch_ix, msk].astype(dtype, copy=False)
         diff = ad.sub(ad.gather_rows(recon, msk), Tensor(target))
         losses[m] = ad.mean(ad.mul(diff, diff))
     return recons, losses

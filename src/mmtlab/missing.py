@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
-from .model import MODALITIES, ParamSet
+from .model import MODALITIES, ParamSet, normal_init
 from .rng import Stream
 
 
@@ -62,8 +62,8 @@ class MmtBank(ParamSet):
 
     @classmethod
     def init(cls, dim: int, seed: int, modalities=MODALITIES) -> "MmtBank":
-        rng = Stream(seed, "mmt-init").numpy_rng()
-        return cls(dim, {f"mmt.{m}": Tensor(rng.normal(0.0, 0.02, size=dim)) for m in modalities})
+        normal = normal_init(Stream(seed, "mmt-init").numpy_rng())
+        return cls(dim, {f"mmt.{m}": normal(dim) for m in modalities})
 
 
 def replace_with_mmt(
@@ -82,9 +82,10 @@ def replace_with_mmt(
         )
     if not replace.any():
         return content
-    m = Tensor(replace.astype(np.float64)[:, None, None])
+    # the 0/1 blend weights in the content's dtype, so float32 stays float32
+    m = replace.astype(content.data.dtype)[:, None, None]
     token = ad.broadcast_to(ad.reshape(bank[modality], (1, 1, bank.dim)), content.shape)
-    return ad.add(ad.mul(content, ad.sub(Tensor(1.0), m)), ad.mul(token, m))
+    return ad.add(ad.mul(content, Tensor(1.0 - m)), ad.mul(token, Tensor(m)))
 
 
 def substitute_zeros(patches: np.ndarray, replace: np.ndarray) -> np.ndarray:

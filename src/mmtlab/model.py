@@ -38,6 +38,10 @@ from .tokenizer import DESK_AUDIO, DESK_VIDEO, MODALITIES, SpectrogramGeometry, 
 
 ARCHS = ("bottleneck", "full_sa", "unimodal:audio", "unimodal:video")
 
+# Every parameter set is made in float32, and the ops compute in their
+# inputs' dtype, so training and evaluation run in float32.
+PARAM_DTYPE = np.float32
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -117,7 +121,8 @@ class ParamSet:
     ``init(..., seed)`` followed by ``tensors``, the name -> Tensor map.
     Names are dotted paths ("audio.layers.2.wqkv", "z", ...) so sets can
     share one flat checkpoint and be partially transplanted (encoder
-    transfer after pretraining matches on name prefixes).
+    transfer after pretraining matches on name prefixes). ``init`` and
+    ``from_arrays`` make ``PARAM_DTYPE`` tensors.
     """
 
     tensors: dict[str, Tensor]
@@ -145,7 +150,9 @@ class ParamSet:
         """``from_arrays(*init_args, arrays)``: rebuild a set from saved arrays.
 
         The names and shapes must match what ``init`` makes for the same
-        arguments; anything else is a checkpoint that does not fit.
+        arguments; anything else is a checkpoint that does not fit. Values
+        are rounded to ``PARAM_DTYPE``, which is exact for arrays saved
+        from such tensors.
         """
         *spec, arrays = args
         template = cls.init(*spec, seed=0).tensors
@@ -158,7 +165,7 @@ class ParamSet:
             )
         out = {}
         for name, ref in template.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name], dtype=PARAM_DTYPE)
             if arr.shape != ref.shape:
                 raise CheckpointError(f"{name}: shape {arr.shape} != expected {ref.shape}")
             out[name] = Tensor(arr)
@@ -174,28 +181,42 @@ class MbtParameters(ParamSet):
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "MbtParameters":
-        rng = Stream(seed, "init").numpy_rng()
+        normal = normal_init(Stream(seed, "init").numpy_rng())
         d = config.embed_dim
         t: dict[str, Tensor] = {}
-
-        def normal(*shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape))
-
         for m in MODALITIES:
             n = config.tokens(m)
             t[f"{m}.embed.w"] = normal(config.patch_dim(m), d)
-            t[f"{m}.embed.b"] = Tensor(np.zeros(d))
+            t[f"{m}.embed.b"] = zeros(d)
             t[f"{m}.cls"] = normal(d)
             t[f"{m}.pos"] = normal(n + 1, d)
             for l in range(config.layers):
                 init_block(t, f"{m}.layers.{l}", d, config.mlp_ratio * d, normal)
-            t[f"{m}.out_ln.g"] = Tensor(np.ones(d))
-            t[f"{m}.out_ln.b"] = Tensor(np.zeros(d))
+            t[f"{m}.out_ln.g"] = ones(d)
+            t[f"{m}.out_ln.b"] = zeros(d)
             for h, n_cls in enumerate(config.n_classes):
                 t[f"{m}.head.{h}.w"] = normal(d, n_cls)
-                t[f"{m}.head.{h}.b"] = Tensor(np.zeros(n_cls))
+                t[f"{m}.head.{h}.b"] = zeros(n_cls)
         t["z"] = normal(config.bottleneck, d)
         return cls(config, t)
+
+
+def normal_init(rng: np.random.Generator):
+    """``normal(*shape)``: a float32 N(0, 0.02) tensor, drawn in float64
+    from ``rng`` and rounded, so the draw order is the same at any dtype."""
+
+    def normal(*shape) -> Tensor:
+        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(PARAM_DTYPE))
+
+    return normal
+
+
+def zeros(n: int) -> Tensor:
+    return Tensor(np.zeros(n, dtype=PARAM_DTYPE))
+
+
+def ones(n: int) -> Tensor:
+    return Tensor(np.ones(n, dtype=PARAM_DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +230,18 @@ def init_block(t: dict, prefix: str, d: int, hidden: int, normal) -> None:
     from ``normal(*shape)`` in a fixed draw order, gains and biases are
     ones and zeros.
     """
-    t[f"{prefix}.ln1.g"] = Tensor(np.ones(d))
-    t[f"{prefix}.ln1.b"] = Tensor(np.zeros(d))
+    t[f"{prefix}.ln1.g"] = ones(d)
+    t[f"{prefix}.ln1.b"] = zeros(d)
     t[f"{prefix}.wqkv"] = normal(d, 3 * d)
-    t[f"{prefix}.bqkv"] = Tensor(np.zeros(3 * d))
+    t[f"{prefix}.bqkv"] = zeros(3 * d)
     t[f"{prefix}.wo"] = normal(d, d)
-    t[f"{prefix}.bo"] = Tensor(np.zeros(d))
-    t[f"{prefix}.ln2.g"] = Tensor(np.ones(d))
-    t[f"{prefix}.ln2.b"] = Tensor(np.zeros(d))
+    t[f"{prefix}.bo"] = zeros(d)
+    t[f"{prefix}.ln2.g"] = ones(d)
+    t[f"{prefix}.ln2.b"] = zeros(d)
     t[f"{prefix}.mlp.w1"] = normal(d, hidden)
-    t[f"{prefix}.mlp.b1"] = Tensor(np.zeros(hidden))
+    t[f"{prefix}.mlp.b1"] = zeros(hidden)
     t[f"{prefix}.mlp.w2"] = normal(hidden, d)
-    t[f"{prefix}.mlp.b2"] = Tensor(np.zeros(d))
+    t[f"{prefix}.mlp.b2"] = zeros(d)
 
 
 def run_block(p, prefix: str, x: Tensor, heads: int, eps: float) -> Tensor:
@@ -251,13 +272,19 @@ def _block(p: MbtParameters, prefix: str, x: Tensor) -> Tensor:
 
 
 def embed_content(p: MbtParameters, modality: str, patches: np.ndarray) -> Tensor:
-    """Project flattened patches to content embeddings (no position yet)."""
+    """Project flattened patches to content embeddings (no position yet).
+
+    The patches take the parameters' dtype; datasets tokenize to float32
+    once, so in training and evaluation that is no copy.
+    """
     n, pd = p.config.tokens(modality), p.config.patch_dim(modality)
     if patches.ndim != 3 or patches.shape[1:] != (n, pd):
         raise DimensionError(
             f"{modality}: expected (batch, {n}, {pd}) patches, got {patches.shape}"
         )
-    return ad.linear(Tensor(patches), p[f"{modality}.embed.w"], p[f"{modality}.embed.b"])
+    w = p[f"{modality}.embed.w"]
+    x = Tensor(np.asarray(patches, dtype=w.data.dtype))
+    return ad.linear(x, w, p[f"{modality}.embed.b"])
 
 
 def _with_cls_and_pos(p: MbtParameters, modality: str, content: Tensor) -> Tensor:
@@ -425,6 +452,9 @@ def attention_pairs(cfg: ModelConfig, mode: str = "bottleneck") -> int:
 #   u32 config length + utf8 JSON,
 #   u32 tensor count, then per tensor:
 #     u16 name length + utf8 name, u8 rank, rank*u32 dims, float64 data.
+# Parameters are float32 in memory. Saving widens them to float64, which is
+# exact, and ``ParamSet.from_arrays`` rounds back to float32, which gives
+# the saved bits again; a checkpoint of float64 parameters loads rounded.
 # JSON/npz alternatives were rejected: npz embeds zip timestamps, which
 # breaks byte-identical reruns, and JSON doubles the size of float payloads.
 

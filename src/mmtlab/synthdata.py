@@ -142,16 +142,19 @@ class SynthDataset:
         return self.labels.shape[0]
 
     def patches(self, modality: str) -> np.ndarray:
-        """Tokenized raw input, cached; (n, tokens, patch_dim)."""
+        """Tokenized raw input, cached; (n, tokens, patch_dim) float32.
+
+        float32 is the model's compute dtype, so batches are cut from this
+        without a cast; ``raw`` stays float64 for the matched filter.
+        """
         if modality not in self._patch_cache:
             if modality == "audio":
-                self._patch_cache[modality] = spectrogram_patches(
-                    self.raw["audio"], self.config.audio
-                )
+                tokens = spectrogram_patches(self.raw["audio"], self.config.audio)
             elif modality == "video":
-                self._patch_cache[modality] = video_patches(self.raw["video"], self.config.video)
+                tokens = video_patches(self.raw["video"], self.config.video)
             else:
                 raise ConfigError(f"unknown modality {modality!r}")
+            self._patch_cache[modality] = tokens.astype(np.float32)
         return self._patch_cache[modality]
 
     def complete_mask(self) -> np.ndarray:

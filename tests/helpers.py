@@ -1,9 +1,15 @@
-"""Shared miniature configurations and reference blocks for fast tests."""
+"""Shared miniature configurations, reference blocks and dtype probes for
+fast tests."""
 
 import math
+from dataclasses import replace
+
+import numpy as np
 
 from mmtlab import autodiff as ad
+from mmtlab.autodiff import Tape, Tensor
 from mmtlab.model import ModelConfig
+from mmtlab.optim import AdamW
 from mmtlab.synthdata import SynthConfig
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
 
@@ -77,3 +83,42 @@ def reference_block(p, prefix: str, x, heads: int, eps: float):
     h = ad.gelu(h)
     h = ad.linear(h, p[f"{prefix}.mlp.w2"], p[f"{prefix}.mlp.b2"])
     return ad.add(x, h)
+
+
+def float64_params(ps):
+    """``ps`` with every tensor widened to float64, an exact copy of its
+    values: exact-value tests compare against float64 arithmetic."""
+    wide = {k: Tensor(t.data.astype(np.float64)) for k, t in ps.tensors.items()}
+    return replace(ps, tensors=wide)
+
+
+def record_dtypes(monkeypatch) -> set:
+    """Turn on debug checks and spy on ``Tape.backward`` and ``AdamW.step``
+    for the rest of a test.
+
+    An op that widens its inputs then raises, and the returned set fills
+    with the dtype of every tape node and each of its inputs, every
+    gradient they hold after backward, and every parameter and AdamW
+    moment after each step.
+    """
+    monkeypatch.setattr(ad, "_DEBUG_CHECKS", True)
+    seen = set()
+    backward, step = Tape.backward, AdamW.step
+
+    def spy_backward(tape, loss):
+        backward(tape, loss)
+        for node in tape.nodes:
+            for t in (node, *node.inputs):
+                seen.add(t.data.dtype)
+                if t.grad is not None:
+                    seen.add(t.grad.dtype)
+
+    def spy_step(opt):
+        seen.update(p.grad.dtype for p in opt.params if p.grad is not None)
+        lr = step(opt)
+        seen.update(a.dtype for a in opt._m + opt._v + [p.data for p in opt.params])
+        return lr
+
+    monkeypatch.setattr(Tape, "backward", spy_backward)
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    return seen

@@ -219,6 +219,64 @@ def test_debug_checks_catch_nonfinite():
 
 
 # ---------------------------------------------------------------------------
+# dtype: float32 stays float32
+
+
+def test_tensor_keeps_float32_and_widens_everything_else():
+    x = np.ones(3, dtype=np.float32)
+    assert Tensor(x).data is x
+    assert Tensor(np.ones(3)).data.dtype == np.float64
+    for other in ([1, 2], 1.5, np.arange(3), np.ones(2, dtype=np.float16)):
+        assert Tensor(other).data.dtype == np.float64
+
+
+def test_every_op_computes_forward_and_backward_in_float32():
+    rng = np.random.default_rng(30)
+
+    def f32(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32))
+
+    x, y, w = f32(2, 5, 8), f32(2, 5, 8), f32(8, 8)
+    b, g = f32(8), f32(8)
+    qkv = f32(2, 5, 24)
+    w1, b1, w2, b2 = f32(8, 16), f32(16), f32(16, 8), f32(8)
+    leaves = [x, y, w, b, g, qkv, w1, b1, w2, b2]
+    with Tape() as tape:
+        h = ad.layer_norm(ad.add(ad.sub(x, y), ad.mul(x, y)), g, b)
+        h = ad.linear(ad.gelu(ad.tanh(ad.scale(h, 0.5))), w, b)
+        h = ad.add(h, ad.multi_head_attention(qkv, 2))
+        h = ad.add(h, ad.mlp(ad.exp(ad.scale(x, 0.1)), w1, b1, w2, b2))
+        h = ad.concat([ad.narrow(h, 1, 0, 2), ad.narrow(h, 1, 2, 3)], axis=1)
+        h = ad.gather_rows(h, np.array([[4, 0, 1], [2, 3, 3]]))
+        h = ad.matmul(ad.transpose(ad.reshape(h, (2, 3, 8)), (0, 2, 1)), h)
+        h = ad.softmax(ad.broadcast_to(ad.mean(h, axis=1, keepdims=True), (2, 3, 8)))
+        logits = ad.reshape(ad.log(h), (6, 8))
+        labels, weights = np.arange(6), np.linspace(0.5, 2.0, 8)  # float64 weights
+        loss = ad.add(
+            ad.cross_entropy(logits, labels, weights=weights),
+            ad.sum_(ad.log_softmax(logits)),
+        )
+        tape.backward(loss)
+    for t in tape.nodes + leaves:
+        assert t.data.dtype == np.float32 and t.grad.dtype == np.float32
+
+
+def test_operator_sugar_wraps_constants_in_the_tensors_dtype():
+    x = Tensor(np.ones(2, dtype=np.float32))
+    for out in (x * 2.0, 2.0 * x, x + 1, 1 - x, x - np.ones(2), -x):
+        assert out.data.dtype == np.float32
+
+
+def test_debug_checks_catch_an_op_that_widens_its_inputs():
+    x = Tensor(np.ones(2, dtype=np.float32))
+    # a numpy float64 scalar is strong under NEP 50: the result is float64
+    with pytest.raises(TypeError, match="scale widened its inputs to float64"):
+        ad.scale(x, np.float64(2.0))
+    ad.scale(x, 2.0)  # a Python float is weak and keeps float32
+    ad.add(x, Tensor(np.ones(2)))  # mixed inputs promote, as numpy does
+
+
+# ---------------------------------------------------------------------------
 # finite-difference certification, many shapes per op
 
 
@@ -332,6 +390,30 @@ def test_grad_gather_rows():
     idx = np.array([[0, 4, 4], [1, 2, 3], [2, 2, 2]])  # repeats accumulate
     w = rng.standard_normal((3, 3, 2))
     _check(lambda x: ad.mean(ad.mul(ad.gather_rows(x, idx), Tensor(w))), [a])
+
+
+def test_grad_gather_rows_distinct_indices():
+    # every row distinct takes the fancy-index path instead of np.add.at
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 5, 2))
+    idx = np.array([[4, 0, 2], [1, 2, 3], [3, 1, 0]])
+    w = rng.standard_normal((3, 3, 2))
+    _check(lambda x: ad.mean(ad.mul(ad.gather_rows(x, idx), Tensor(w))), [a])
+    # and adds onto the gradient of a consumer recorded later (so run first)
+    _check(lambda x: ad.add(ad.sum_(ad.gather_rows(x, idx)), ad.mean(ad.mul(x, x))), [a])
+
+
+def test_grad_narrow_pieces_add_into_one_gradient():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((2, 4, 3))
+    w = rng.standard_normal((2, 2, 3))
+
+    def fn(x):
+        first = ad.mean(ad.mul(ad.narrow(x, 1, 0, 2), Tensor(w)))
+        overlap = ad.sum_(ad.narrow(x, 1, 1, 2))
+        return ad.add(ad.add(first, overlap), ad.mean(ad.mul(x, x)))
+
+    _check(fn, [a])
 
 
 def test_gather_rows_forward_and_shape_guard():

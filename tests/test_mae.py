@@ -28,7 +28,7 @@ from mmtlab.schema import decode
 from mmtlab.synthdata import generate
 from mmtlab.training import TrainConfig, train
 
-from helpers import micro_model_config, micro_synth_config
+from helpers import float64_params, micro_model_config, micro_synth_config, record_dtypes
 
 
 def micro_mae_config(**overrides) -> MaeConfig:
@@ -177,6 +177,7 @@ def test_perturbing_a_visible_input_patch_changes_the_loss():
 
 def test_single_masked_token_loss_is_that_patch_error_over_volume():
     ds, params, dec, acfg = setup_micro()
+    params, dec = float64_params(params), float64_params(dec)
     # 4 audio tokens at ratio 0.25 leaves exactly one masked token
     rng = Stream(11, "mae-mask").numpy_rng()
     patches = {"audio": ds.patches("audio")[:1]}
@@ -189,6 +190,7 @@ def test_single_masked_token_loss_is_that_patch_error_over_volume():
 
 def test_mae_step_draws_masks_and_sums_modalities():
     ds, params, dec, acfg = setup_micro()
+    params, dec = float64_params(params), float64_params(dec)
     rng = Stream(12, "mae-mask").numpy_rng()
     patches = {m: ds.patches(m)[:4] for m in ("audio", "video")}
     total, per = mae_step(params, dec, acfg, patches, rng=rng)
@@ -379,3 +381,11 @@ def test_pretraining_warm_start_soft_check(caplog):
     )
     # soft check: both runs finished with finite losses
     assert np.isfinite(warm_hist[-1]["loss"]) and np.isfinite(cold_hist[-1]["loss"])
+
+
+def test_a_pretraining_step_runs_in_float32(monkeypatch):
+    ds, params, dec, _ = setup_micro(n=16)
+    seen = record_dtypes(monkeypatch)
+    result = mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=2)
+    assert result.steps == 1
+    assert seen == {np.dtype(np.float32)}

@@ -7,6 +7,7 @@ from mmtlab.autodiff import Tape, Tensor
 from mmtlab.errors import CheckpointError, ConfigError, DimensionError
 from mmtlab import autodiff as ad
 from mmtlab.model import (
+    ARCHS,
     MODALITIES,
     MbtParameters,
     ModelConfig,
@@ -21,7 +22,7 @@ from mmtlab.model import (
 from mmtlab.schema import decode
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
 
-from helpers import reference_block
+from helpers import float64_params, reference_block
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -124,7 +125,7 @@ def np_forward(a, cfg: ModelConfig, content: dict[str, np.ndarray]) -> list[np.n
 @pytest.mark.parametrize("fusion_layer", [0, 1, 2])
 def test_forward_matches_numpy_oracle(fusion_layer):
     cfg = tiny_config(fusion_layer=fusion_layer)
-    p = MbtParameters.init(cfg, seed=3)
+    p = float64_params(MbtParameters.init(cfg, seed=3))
     content = random_content(p, batch=3, seed=7)
     got = forward(p, content)
     want = np_forward(p.as_arrays(), cfg, {m: c.data for m, c in content.items()})
@@ -134,7 +135,7 @@ def test_forward_matches_numpy_oracle(fusion_layer):
 
 def test_single_modality_matches_oracle():
     cfg = tiny_config(fusion_layer=1)
-    p = MbtParameters.init(cfg, seed=4)
+    p = float64_params(MbtParameters.init(cfg, seed=4))
     content = random_content(p, batch=2, seed=8)
     got = forward(p, {"video": content["video"]})
     want = np_forward(p.as_arrays(), cfg, {"video": content["video"].data})
@@ -278,6 +279,24 @@ def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio):
         np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+def test_float32_forward_agrees_with_float64(arch):
+    # the same weights and patches, computed once in each dtype
+    cfg = tiny_config(arch=arch, fusion_layer=1)
+    p32 = MbtParameters.init(cfg, seed=17)
+    p64 = float64_params(p32)
+    rng = np.random.default_rng(18)
+    patches = {
+        m: rng.standard_normal((3, cfg.tokens(m), cfg.patch_dim(m))) for m in MODALITIES
+    }
+    got = forward(p32, {m: embed_content(p32, m, x) for m, x in patches.items()})
+    want = forward(p64, {m: embed_content(p64, m, x) for m, x in patches.items()})
+    for g, w in zip(got, want):
+        assert g.data.dtype == np.float32 and w.data.dtype == np.float64
+        tol = 16 * np.finfo(np.float32).eps * np.abs(w.data).max()
+        np.testing.assert_allclose(g.data, w.data, rtol=0, atol=tol)
+
+
 def test_unimodal_leaves_other_stack_untouched():
     cfg = tiny_config(arch="unimodal:audio")
     p = MbtParameters.init(cfg, seed=12)
@@ -401,6 +420,42 @@ def test_parameters_roundtrip_through_checkpoint(tmp_path):
     content = random_content(p, batch=2, seed=16)
     for a, b in zip(forward(p, content), forward(restored, content)):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_float32_parameters_roundtrip_bit_for_bit(tmp_path):
+    cfg = tiny_config()
+    p = MbtParameters.init(cfg, seed=14)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), p.as_arrays(), asdict(cfg), stage="finetune")
+    restored = MbtParameters.from_arrays(cfg, load_checkpoint(str(path))[0])
+    for name, t in p.tensors.items():
+        got = restored[name].data
+        assert got.dtype == t.data.dtype == np.float32
+        assert got.tobytes() == t.data.tobytes(), name
+
+
+def test_checkpoint_stores_float32_widened_to_little_endian_float64(tmp_path):
+    p = MbtParameters.init(tiny_config(), seed=15)
+    narrow, wide = tmp_path / "f32.ckpt", tmp_path / "f64.ckpt"
+    save_checkpoint(str(narrow), p.as_arrays(), {}, stage="finetune")
+    widened = {k: v.astype(np.float64) for k, v in p.as_arrays().items()}
+    save_checkpoint(str(wide), widened, {}, stage="finetune")
+    assert narrow.read_bytes() == wide.read_bytes()
+    # "z" sorts last, so its payload ends the file
+    assert narrow.read_bytes().endswith(p["z"].data.astype("<f8").tobytes())
+
+
+def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):
+    cfg = tiny_config()
+    rng = np.random.default_rng(16)
+    shapes = {k: v.shape for k, v in MbtParameters.init(cfg, seed=0).as_arrays().items()}
+    arrays = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(str(path), arrays, asdict(cfg), stage="finetune")
+    restored = MbtParameters.from_arrays(cfg, load_checkpoint(str(path))[0])
+    for name, arr in arrays.items():
+        assert restored[name].data.dtype == np.float32
+        np.testing.assert_array_equal(restored[name].data, arr.astype(np.float32))
 
 
 def test_from_arrays_validates_names_and_shapes():

@@ -12,6 +12,7 @@ from mmtlab.synthdata import (
     template_match,
     templates,
 )
+from mmtlab.tokenizer import spectrogram_patches
 
 
 def small_config(**overrides) -> SynthConfig:
@@ -140,6 +141,15 @@ def test_patches_shapes_and_cache():
     assert pa.shape == (3, cfg.audio.tokens, cfg.audio.patch_dim)
     assert pv.shape == (3, cfg.video.tokens, cfg.video.patch_dim)
     assert ds.patches("audio") is pa
+
+
+def test_patches_are_float32_and_raw_stays_float64():
+    cfg = small_config()
+    ds = generate(cfg, seed=8, n=3)
+    assert ds.raw["audio"].dtype == ds.raw["video"].dtype == np.float64
+    want = spectrogram_patches(ds.raw["audio"], cfg.audio).astype(np.float32)
+    assert ds.patches("audio").dtype == ds.patches("video").dtype == np.float32
+    np.testing.assert_array_equal(ds.patches("audio"), want)
 
 
 def test_config_validation():

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import micro_model_config, micro_synth_config
+from helpers import micro_model_config, micro_synth_config, record_dtypes
 from mmtlab.errors import ConfigError, DataError
 from mmtlab.missing import MmtBank
 from mmtlab.model import MbtParameters
@@ -176,3 +176,14 @@ def test_config_validation_and_roundtrip():
         micro_train_config(induced_missing={"depth": 0.5})
     tcfg = micro_train_config(replace_probs={"video": 0.25}, induced_missing={"video": 0.5})
     assert decode(TrainConfig, asdict(tcfg)) == tcfg
+
+
+def test_a_train_step_runs_in_float32(monkeypatch):
+    # replacement, class weights and a partly missing modality cover every
+    # constant the batch loss builds (blend weights, class weights)
+    ds, params, bank = fresh(n=16, scfg=micro_synth_config(natural_missing={"audio": 0.25}))
+    tcfg = micro_train_config(epochs=1, replace_probs={"video": 0.5}, use_class_weights=True)
+    seen = record_dtypes(monkeypatch)
+    result = train(params, bank, ds, tcfg, seed=2)
+    assert result.steps == 1
+    assert seen == {np.dtype(np.float32)}
