@@ -56,8 +56,9 @@ print("flips to no: all cross-modal traffic rides the bottleneck tokens.")
 
 # --- the price of talking: attention pairs per forward -------------------
 cfg = ModelConfig(scfg.audio, scfg.video, fusion_layer=0)
-bn = attention_pairs(cfg, "bottleneck")
-full = attention_pairs(cfg, "full_sa")
+sa_cfg = replace(cfg, arch="full_sa")
+bn = attention_pairs(cfg)
+full = attention_pairs(sa_cfg)
 print(f"\nattention pairs over {cfg.layers} layers: bottleneck {bn}, "
       f"full self-attention {full} ({full/bn:.2f}x)")
 print(f"per fused layer: (1+16+{cfg.bottleneck})^2 + (1+32+{cfg.bottleneck})^2 "
@@ -67,6 +68,6 @@ print(f"per fused layer: (1+16+{cfg.bottleneck})^2 + (1+32+{cfg.bottleneck})^2 "
 p = MbtParameters.init(cfg, seed=0)
 content = {m: embed_content(p, m, ds.patches(m)) for m in ("audio", "video")}
 mbt_logits = forward(p, content)
-sa_logits = forward(MbtParameters(replace(cfg, arch="full_sa"), p.tensors), content)
+sa_logits = forward(MbtParameters(sa_cfg, p.tensors), content)
 for h, (a, b) in enumerate(zip(mbt_logits, sa_logits)):
     print(f"head {h}: bottleneck logits {a.shape}, full-SA logits {b.shape}")

@@ -7,6 +7,14 @@ reverse recording order is a reverse topological order by construction
 fan-out nodes. Ops executed with no active tape compute values only, which
 is the inference path.
 
+Backward consumes the tape, as PyTorch frees a graph's buffers while its
+backward walks it: each node is unlinked from its inputs and its backward
+closure before that closure runs, so a saved activation lives only until
+its node's gradient is taken, and an intermediate's gradient only until
+its own node has passed it on. Leaves, and any tensor the caller still
+holds, keep their ``.grad``. The peak of a training step is then about
+the forward activations, not activations plus every gradient.
+
 Data is float32 or float64 and the dtype travels with the arrays: a
 :class:`Tensor` keeps the dtype of a float32 or float64 array and makes
 float64 of anything else, and every op computes in its inputs' dtype, so
@@ -59,14 +67,16 @@ class Tape:
     """Ordered record of executed ops for one backward pass.
 
     Use as a context manager around a forward computation, then call
-    :meth:`backward` on the scalar loss. The active tape is a module
-    global, so one process records at most one tape at a time and tapes
-    must not be used from several threads; parallel work (sweep cells)
-    runs in separate processes.
+    :meth:`backward` on the scalar loss, once: backward consumes the tape
+    and frees each node's saved arrays as it goes. The active tape is a
+    module global, so one process records at most one tape at a time and
+    tapes must not be used from several threads; parallel work (sweep
+    cells) runs in separate processes.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -81,14 +91,27 @@ class Tape:
         return False
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate d(loss)/d(node) into ``.grad`` of every antecedent."""
+        """Accumulate d(loss)/d(node) into ``.grad`` of every antecedent.
+
+        Consumes the tape: each node is popped and unlinked (its
+        ``_backward`` and ``inputs`` cleared) before its closure runs, so
+        the activations the closure saved, and any node's gradient that
+        only the tape held, are freed as the walk goes on. A tensor the
+        caller still holds keeps its ``.grad``. A second call raises
+        ``RuntimeError``.
+        """
+        if self._consumed:
+            raise RuntimeError("this tape has already run backward; record a new one")
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
+        self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            if node.grad is None or node._backward is None:
-                continue
-            node._backward(node.grad)
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            fn, node._backward, node.inputs = node._backward, None, ()
+            if node.grad is not None:
+                fn(node.grad)
 
 
 class Tensor:
@@ -461,14 +484,24 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Gather a[rows[i], cols[i]] for each i; used to pull label logits."""
+    """Gather a[rows[i], cols[i]] for each i; used to pull label logits.
+
+    Backward scatter-adds, so a repeated (row, col) pair accumulates. When
+    the pairs are distinct (``cross_entropy``'s one label per row) a
+    fancy-index ``+=`` gives the same sums without ``np.add.at``.
+    """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     out = Tensor(a.data[rows, cols], (a,))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, (rows, cols), g)
+        flat = np.ravel_multi_index(np.broadcast_arrays(rows, cols), a.shape[:2], mode="wrap")
+        ordered = np.sort(flat, axis=None)
+        if (ordered[1:] != ordered[:-1]).all():
+            full[rows, cols] += g
+        else:
+            np.add.at(full, (rows, cols), g)
         a.accumulate_owned(full)
 
     out._backward = backward

@@ -415,32 +415,29 @@ def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
 # cost accounting
 
 
-def attention_pairs_per_layer(cfg: ModelConfig, mode: str = "bottleneck") -> list[int]:
-    """Query-key pairs scored at each layer; the quadratic cost driver.
+def attention_pairs_per_layer(cfg: ModelConfig) -> list[int]:
+    """Query-key pairs scored at each layer of ``cfg.arch``; the quadratic
+    cost driver.
 
-    Bottleneck mode runs one attention per modality over its own sequence
-    (plus bottleneck tokens at fused layers); full self-attention runs one
-    attention over the concatenation at fused layers.
+    The bottleneck arch runs one attention per modality over its own
+    sequence (plus bottleneck tokens at fused layers); full self-attention
+    runs one attention over the concatenation at fused layers; a unimodal
+    arch runs its one stream.
     """
-    lens = {m: cfg.tokens(m) + 1 for m in MODALITIES}
+    lens = [cfg.tokens(m) + 1 for m in cfg.input_modalities]
     counts = []
     for l in range(cfg.layers):
         fused = l >= cfg.fusion_layer
-        if mode == "bottleneck":
-            extra = cfg.bottleneck if fused else 0
-            counts.append(sum((n + extra) ** 2 for n in lens.values()))
-        elif mode == "full_sa":
-            if fused:
-                counts.append(sum(lens.values()) ** 2)
-            else:
-                counts.append(sum(n**2 for n in lens.values()))
+        if cfg.arch == "full_sa" and fused:
+            counts.append(sum(lens) ** 2)
         else:
-            raise ConfigError(f"unknown attention mode {mode!r}")
+            extra = cfg.bottleneck if fused and cfg.arch == "bottleneck" else 0
+            counts.append(sum((n + extra) ** 2 for n in lens))
     return counts
 
 
-def attention_pairs(cfg: ModelConfig, mode: str = "bottleneck") -> int:
-    return sum(attention_pairs_per_layer(cfg, mode))
+def attention_pairs(cfg: ModelConfig) -> int:
+    return sum(attention_pairs_per_layer(cfg))
 
 
 # ---------------------------------------------------------------------------

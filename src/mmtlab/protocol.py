@@ -202,24 +202,31 @@ class MetricsTable:
 
     ``r_test`` is stored as a percentage. Floats are written with fixed
     precision and rows are sorted on save, so two runs that computed the
-    same numbers produce byte-identical files.
+    same numbers produce byte-identical files. Add rows through
+    :meth:`add`: :meth:`has` answers from a key set that ``add`` and the
+    constructor keep, so a resumed sweep's checks stay constant-time.
     """
 
     HEADER = "method,r_test,head,seed,accuracy,n"
 
     def __init__(self, rows: list[tuple] | None = None):
         self.rows: list[tuple] = list(rows or [])
+        self._keys = {self._key(*row[:4]) for row in self.rows}
 
     def add(self, method: str, r_test: float, head: str, seed: int, accuracy: float, n: int):
         if not 0.0 <= accuracy <= 1.0:
             raise DataError(f"accuracy {accuracy} outside [0, 1]")
         self.rows.append((str(method), float(r_test), str(head), int(seed), float(accuracy), int(n)))
+        self._keys.add(self._key(method, r_test, head, seed))
 
     def has(self, method: str, r_test: float, head: str, seed: int) -> bool:
-        key = (str(method), self._fmt_rate(r_test), str(head), int(seed))
-        return any(
-            (m, self._fmt_rate(r), h, s) == key for m, r, h, s, _, _ in self.rows
-        )
+        """Whether a row exists for this cell and head; rows are matched as
+        written to CSV, so a loaded table answers like the one saved."""
+        return self._key(method, r_test, head, seed) in self._keys
+
+    @classmethod
+    def _key(cls, method: str, r_test: float, head: str, seed: int) -> tuple:
+        return (str(method), cls._fmt_rate(r_test), str(head), int(seed))
 
     @staticmethod
     def _fmt_rate(r: float) -> str:

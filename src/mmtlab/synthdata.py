@@ -6,19 +6,21 @@ gain-weighted sum of its labels' templates plus white Gaussian noise:
 
     raw_m = sum_h gain[m][h] * T[m][h][label_h] + sigma * N(0, I)
 
-Templates are rows of a Hadamard matrix scaled to unit norm, so they are
-exactly orthonormal and the matched-filter statistics decouple: for any
-subset S of observed modalities, the best possible accuracy on head h is
-a one-dimensional Gaussian race with separation
+Templates are rows of a Sylvester Hadamard matrix scaled to unit norm, so
+they are exactly orthonormal and the matched-filter statistics decouple:
+for any subset S of observed modalities, the best possible accuracy on
+head h is a one-dimensional Gaussian race with separation
 
     d_h(S) = sqrt(sum_{m in S} gain[m][h]^2) / sigma
 
-and value E_u[Phi(u + d)^(C-1)], computable to high precision. That gives
-the generator a closed-form oracle: learned models can be compared against
-the ceiling for whichever modalities they actually saw. The all-ones
-Hadamard row is never used as a template (a constant offset is invisible
-to layer-normalized models, and it is the one direction matched filtering
-and the transformer would disagree about).
+and value E_u[Phi(u + d)^(C-1)], computed by 120-node Gauss-Hermite
+quadrature to about 1e-8. That gives the generator a closed-form oracle:
+learned models can be compared against the ceiling for whichever
+modalities they actually saw. The all-ones Hadamard row is never used as a
+template (a constant offset is invisible to layer-normalized models, and
+it is the one direction matched filtering and the transformer would
+disagree about). Only the rows in use are computed, never the full
+matrix, and the module needs numpy alone.
 
 Sample i is drawn from its own counter-derived generator, so any subset of
 samples regenerates identically regardless of chunking or order.
@@ -26,13 +28,12 @@ samples regenerates identically regardless of chunking or order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import hadamard
-from scipy.stats import norm
+from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ConfigError
 from .rng import Stream, sample_rng
@@ -103,9 +104,21 @@ class SynthConfig:
 
 @lru_cache(maxsize=8)
 def _template_matrix(size: int, count: int) -> np.ndarray:
-    """First ``count`` non-constant Hadamard rows, unit-normalized."""
-    h = hadamard(size).astype(np.float64) / np.sqrt(size)
-    return h[1 : count + 1]
+    """First ``count`` non-constant Hadamard rows, unit-normalized; read-only.
+
+    Rows 1..count of the Sylvester matrix of order ``size`` (a power of
+    two), built directly from ``H[i, j] = (-1)**popcount(i & j)`` rather
+    than by cutting them out of the full ``size`` x ``size`` matrix. The
+    array is shared by every caller through the cache, so it is frozen.
+    """
+    bits = np.arange(1, count + 1)[:, None] & np.arange(size)
+    parity = np.zeros_like(bits)
+    while bits.any():
+        parity ^= bits & 1
+        bits >>= 1
+    rows = (1 - 2 * parity).astype(np.float64) / np.sqrt(size)
+    rows.setflags(write=False)
+    return rows
 
 
 def templates(config: SynthConfig, modality: str) -> dict[int, np.ndarray]:
@@ -230,7 +243,8 @@ def bayes_accuracy_bound(d: float, n_classes: int) -> float:
     """Best achievable accuracy for a C-way race with separation d.
 
     The true class's matched-filter score beats C-1 independent standard
-    normals: acc = E_u[Phi(u + d)^(C-1)].
+    normals: acc = E_u[Phi(u + d)^(C-1)], taken by Gauss-Hermite
+    quadrature over u ~ N(0, 1).
     """
     if d < 0:
         raise ConfigError("separation cannot be negative")
@@ -238,13 +252,16 @@ def bayes_accuracy_bound(d: float, n_classes: int) -> float:
         raise ConfigError("need at least two classes")
     if d == 0.0:
         return 1.0 / n_classes
-    val, _ = quad(
-        lambda u: norm.pdf(u) * norm.cdf(u + d) ** (n_classes - 1),
-        -12.0,
-        12.0 + d,
-        limit=200,
-    )
-    return float(min(val, 1.0))
+    nodes, weights = _hermite_rule()
+    phi = np.array([0.5 * math.erfc(-(u + d) / math.sqrt(2.0)) for u in nodes])
+    val = float(weights @ phi ** (n_classes - 1)) / math.sqrt(2.0 * math.pi)
+    return min(val, 1.0)
+
+
+@lru_cache(maxsize=1)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """120-node Gauss-Hermite rule for the weight exp(-u^2 / 2)."""
+    return hermegauss(120)
 
 
 def expected_accuracy(config: SynthConfig, subset: tuple[str, ...]) -> list[float]:

@@ -106,12 +106,13 @@ def record_dtypes(monkeypatch) -> set:
     backward, step = Tape.backward, AdamW.step
 
     def spy_backward(tape, loss):
+        # backward consumes the tape, so hold every node and input first
+        held = [t for node in tape.nodes for t in (node, *node.inputs)]
         backward(tape, loss)
-        for node in tape.nodes:
-            for t in (node, *node.inputs):
-                seen.add(t.data.dtype)
-                if t.grad is not None:
-                    seen.add(t.grad.dtype)
+        for t in held:
+            seen.add(t.data.dtype)
+            if t.grad is not None:
+                seen.add(t.grad.dtype)
 
     def spy_step(opt):
         seen.update(p.grad.dtype for p in opt.params if p.grad is not None)

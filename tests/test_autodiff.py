@@ -203,6 +203,29 @@ def test_reverse_tape_matches_explicit_topological_order():
         np.testing.assert_allclose(g1, x2.grad, atol=1e-12)
 
 
+def test_tape_runs_backward_once():
+    x = Tensor([2.0])
+    with Tape() as t:
+        y = ad.mean(ad.mul(x, x))
+    t.backward(y)
+    with pytest.raises(RuntimeError):
+        t.backward(y)
+    np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)  # not doubled
+
+
+def test_backward_unlinks_nodes_and_held_intermediates_keep_grad():
+    x = Tensor([1.0, 2.0, 3.0])
+    with Tape() as t:
+        h = ad.mul(x, x)
+        y = ad.sum_(ad.scale(h, 0.5))
+    t.backward(y)
+    assert t.nodes == []
+    np.testing.assert_allclose(h.grad, [0.5, 0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(x.grad, [1.0, 2.0, 3.0], atol=1e-12)
+    for node in (h, y):
+        assert node._backward is None and node.inputs == ()
+
+
 def test_grad_accumulates_across_two_backwards():
     x = Tensor([1.0])
     for _ in range(2):
@@ -256,8 +279,9 @@ def test_every_op_computes_forward_and_backward_in_float32():
             ad.cross_entropy(logits, labels, weights=weights),
             ad.sum_(ad.log_softmax(logits)),
         )
+        nodes = list(tape.nodes)  # held here, so they keep their grads
         tape.backward(loss)
-    for t in tape.nodes + leaves:
+    for t in nodes + leaves:
         assert t.data.dtype == np.float32 and t.grad.dtype == np.float32
 
 
@@ -382,6 +406,19 @@ def test_grad_pick():
     rows = np.array([0, 1, 2, 3, 0])  # repeated row exercises accumulation
     cols = np.array([2, 0, 1, 2, 2])
     _check(lambda x: ad.mean(ad.pick(x, rows, cols)), [a])
+
+
+def test_pick_distinct_pairs_match_scatter_add_bit_for_bit():
+    # one label per row (cross_entropy's case) takes the fancy-index path
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
+    rows, cols = np.arange(6), np.array([4, 0, 2, 2, 1, 3])
+    w = rng.standard_normal(6).astype(np.float32)
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.mul(ad.pick(a, rows, cols), Tensor(w))))
+    want = np.zeros_like(a.data)
+    np.add.at(want, (rows, cols), w)
+    assert a.grad.tobytes() == want.tobytes()
 
 
 def test_grad_gather_rows():

@@ -346,18 +346,22 @@ def test_attention_pair_counts_desk_scale():
         bottleneck=4,
     )
     # audio 16+1 tokens, video 32+1; +4 bottleneck when fused
-    assert attention_pairs_per_layer(cfg, "bottleneck") == [1810, 1810, 1810, 1810]
-    assert attention_pairs_per_layer(cfg, "full_sa") == [2500, 2500, 2500, 2500]
-    assert attention_pairs(cfg, "bottleneck") < attention_pairs(cfg, "full_sa")
+    full_sa = replace(cfg, arch="full_sa")
+    assert attention_pairs_per_layer(cfg) == [1810, 1810, 1810, 1810]
+    assert attention_pairs_per_layer(full_sa) == [2500, 2500, 2500, 2500]
+    assert attention_pairs(cfg) < attention_pairs(full_sa)
+    # a unimodal model runs its one stream: 33^2 video pairs per layer
+    assert attention_pairs_per_layer(replace(cfg, arch="unimodal:video")) == [1089] * 4
 
 
 def test_attention_pairs_respect_fusion_layer():
     cfg = tiny_config(fusion_layer=1)
-    per = attention_pairs_per_layer(cfg, "bottleneck")
+    per = attention_pairs_per_layer(cfg)
     # unfused layer: (4+1)^2 twice; fused adds 2 bottleneck tokens
     assert per == [5**2 + 5**2, 7**2 + 7**2]
-    full = attention_pairs_per_layer(cfg, "full_sa")
+    full = attention_pairs_per_layer(replace(cfg, arch="full_sa"))
     assert full == [50, 100]
+    assert attention_pairs_per_layer(replace(cfg, arch="unimodal:audio")) == [25, 25]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,19 @@ def test_metrics_csv_roundtrip_and_format(tmp_path):
     assert back.to_csv() == text
 
 
+def test_metrics_has_sees_added_and_loaded_rows(tmp_path):
+    t = MetricsTable()
+    assert not t.has("mmt", 25, "A", 1)
+    t.add("mmt", 25, "A", 1, 0.5, 10)
+    assert t.has("mmt", 25.0, "A", 1)  # rates match as written to CSV
+    assert not t.has("mmt", 25.0, "B", 1) and not t.has("zeros", 25.0, "A", 1)
+    path = str(tmp_path / "m.csv")
+    t.save(path)
+    back = MetricsTable.load(path)
+    back.add("mmt", 50.0, "B", 2, 0.25, 10)
+    assert back.has("mmt", 25, "A", 1) and back.has("mmt", 50, "B", 2)
+
+
 def test_metrics_rows_sorted_for_byte_identity(tmp_path):
     a = MetricsTable()
     a.add("zeros", 100.0, "A", 1, 0.5, 10)

@@ -1,11 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.stats import norm
 
+import mmtlab
 from mmtlab.errors import ConfigError
 from mmtlab.synthdata import (
     MODALITIES,
     SynthConfig,
+    _template_matrix,
     bayes_accuracy_bound,
     expected_accuracy,
     generate,
@@ -33,8 +39,22 @@ def test_bound_at_zero_separation_is_chance():
 def test_bound_two_classes_has_closed_form():
     # beating a single rival normal: acc = Phi(d / sqrt(2))
     for d in (0.3, 1.0, 2.5, 4.0):
-        want = norm.cdf(d / np.sqrt(2))
+        want = 0.5 * (1.0 + math.erf(d / 2.0))  # Phi(d / sqrt(2))
         assert bayes_accuracy_bound(d, 2) == pytest.approx(want, abs=1e-9)
+
+
+def test_bound_matches_adaptive_quadrature():
+    # the cross-check needs scipy, which only the test extra installs
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def integrand(u, d, c):
+        pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        return pdf * (0.5 * math.erfc(-(u + d) / math.sqrt(2.0))) ** (c - 1)
+
+    for c in (2, 3, 4, 5, 10, 97):
+        for d in np.linspace(0.05, 8.0, 24):
+            want, _ = integrate.quad(integrand, -12.0, 12.0 + d, args=(d, c), limit=200)
+            assert bayes_accuracy_bound(float(d), c) == pytest.approx(want, abs=1e-8), (d, c)
 
 
 def test_bound_monotone_in_separation_and_saturating():
@@ -84,6 +104,49 @@ def test_templates_are_orthonormal_and_nonconstant():
         np.testing.assert_allclose(gram, np.eye(len(rows)), atol=1e-12)
         # no all-ones direction: each template sums to zero
         np.testing.assert_allclose(rows.sum(axis=1), 0.0, atol=1e-9)
+
+
+def _sylvester(size: int) -> np.ndarray:
+    h = np.ones((1, 1))
+    while h.shape[0] < size:
+        h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
+    return h
+
+
+def test_template_rows_equal_sylvester_hadamard_rows():
+    for size in (8, 16, 32, 64, 128, 256, 512, 1024):
+        count = min(size - 1, 9)
+        want = _sylvester(size)[1 : count + 1] / np.sqrt(size)
+        got = _template_matrix(size, count)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), size
+
+
+def test_template_rows_equal_scipy_hadamard_at_video_size():
+    linalg = pytest.importorskip("scipy.linalg")
+    want = (linalg.hadamard(4096).astype(np.float64) / np.sqrt(4096))[1:8]
+    assert _template_matrix(4096, 7).tobytes() == want.tobytes()
+
+
+def test_template_cache_is_read_only():
+    bank = templates(small_config(), "video")[0]
+    with pytest.raises(ValueError):
+        bank[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        _template_matrix(64, 3)[:] = 0.0
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, mmtlab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(mmtlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_generation_is_deterministic_and_split_dependent():
