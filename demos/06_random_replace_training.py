@@ -45,7 +45,7 @@ audio_bound = float(np.mean(expected_accuracy(scfg, ("audio",))))
 print(f"\n{'r_test':>8} {'baseline(zeros)':>16} {'mmt model':>10}")
 for r in rates:
     missing = {"audio": test_ds.missing["audio"], "video": variants[r]}
-    b = evaluate(base, None, test_ds, missing, SubstitutionMethod.ZEROS)["mean"]
+    b = evaluate(base, base_bank, test_ds, missing, SubstitutionMethod.ZEROS)["mean"]
     m = evaluate(mmt, mmt_bank, test_ds, missing, SubstitutionMethod.MMT)["mean"]
     print(f"{int(r*100):>7}% {b:>16.3f} {m:>10.3f}")
 print(f"\nfor reference, the audio-only analytic ceiling is {audio_bound:.3f}:")

@@ -57,7 +57,8 @@ print(f"\ncorrupting targets at visible positions moves the loss by {drift:.1e}"
 print(f"audio mask hides {msk_a.shape[1]} of {mcfg.tokens('audio')} tokens per sample")
 
 # --- transfer into a classifier and fine-tune briefly ----------------------
-classifier, bank = transfer_encoder(params, mcfg, SEED)
+classifier = transfer_encoder(params, mcfg, SEED)
+bank = MmtBank.init(mcfg.embed_dim, SEED)
 tcfg = TrainConfig(epochs=2)
 print("\nfine-tuning the transferred encoder for 2 epochs...")
 ft = train(classifier, bank, ds, tcfg, SEED)

@@ -76,8 +76,9 @@ def _write_run_manifest(out: Path, command: str) -> None:
     write_manifest(str(out / "manifest.json"), {"command": command, "files": files})
 
 
-def _load_finetune(path: str):
-    """A finetune checkpoint holds model weights plus any token bank."""
+def _load_finetune(cfg: RunConfig, path: str) -> tuple[MbtParameters, MmtBank]:
+    """A finetune checkpoint holds model weights plus the token bank; its
+    model must fit the data ``cfg`` generates."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     arrays, ckpt_cfg, stage = load_checkpoint(path)
@@ -87,7 +88,8 @@ def _load_finetune(path: str):
     mmt = {k: v for k, v in arrays.items() if k.startswith("mmt.")}
     rest = {k: v for k, v in arrays.items() if not k.startswith("mmt.")}
     params = MbtParameters.from_arrays(mcfg, rest)
-    bank = MmtBank.from_arrays(mcfg.embed_dim, mmt) if mmt else None
+    bank = MmtBank.from_arrays(mcfg.embed_dim, mmt)
+    check_data_compat(replace(cfg, model=mcfg))
     return params, bank
 
 
@@ -108,10 +110,10 @@ def _train_one(cfg: RunConfig, out: Path, pretrained: str | None) -> None:
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
     if pretrained:
         pre_params, _ = load_pretrained(pretrained)
-        params, bank = transfer_encoder(pre_params, cfg.model, cfg.seed)
+        params = transfer_encoder(pre_params, cfg.model, cfg.seed)
     else:
         params = MbtParameters.init(cfg.model, cfg.seed)
-        bank = MmtBank.init(cfg.model.embed_dim, cfg.seed)
+    bank = MmtBank.init(cfg.model.embed_dim, cfg.seed)
     result = train(params, bank, ds, cfg.train, cfg.seed)
     arrays = {**params.as_arrays(), **bank.as_arrays()}
     ckpt_cfg = {"model": asdict(cfg.model), "train": asdict(cfg.train)}
@@ -128,7 +130,7 @@ def _train_one(cfg: RunConfig, out: Path, pretrained: str | None) -> None:
 def _score_cell(
     cfg: RunConfig,
     params: MbtParameters,
-    bank: MmtBank | None,
+    bank: MmtBank,
     ds: SynthDataset,
     method: SubstitutionMethod,
     r_test: float,
@@ -179,7 +181,7 @@ def cmd_eval(args) -> int:
     rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval.rates)
     check_feasible_rates(cfg, "--rtest", rates, cfg.data.n_test)
     out = _prepare_out(cfg)
-    params, bank = _load_finetune(args.checkpoint or str(out / "model.ckpt"))
+    params, bank = _load_finetune(cfg, args.checkpoint or str(out / "model.ckpt"))
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     cells = [
         {"method": method.value, "r_test": r, "seed": cfg.seed, "heads": params.config.head_names}
@@ -281,7 +283,7 @@ def cmd_sweep(args) -> int:
     def run_cell(cell):
         key = (cell["value"], cell["seed"])
         if key not in loaded:
-            loaded[key] = _load_finetune(str(_cell_dir(out, axis, *key) / "model.ckpt"))
+            loaded[key] = _load_finetune(cfg, str(_cell_dir(out, axis, *key) / "model.ckpt"))
         # the axis changes neither the generator nor the eval settings
         ds = generate(cfg.synth, cell["seed"], cfg.data.n_test, split="test")
         return _score_cell(cfg, *loaded[key], ds, method, cell["r_test"])

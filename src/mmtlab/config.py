@@ -32,7 +32,7 @@ from .mae import MaeConfig
 from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
 from .schema import decode
-from .synthdata import SynthConfig
+from .synthdata import SynthConfig, missing_count
 from .training import TrainConfig
 
 
@@ -95,17 +95,18 @@ class RunConfig:
 def check_feasible_rates(cfg: RunConfig, what: str, rates_pct, n: int) -> None:
     """Reject percent rates of ``eval.missing`` below its natural rate.
 
-    Uses the generator's and the schedules' own arithmetic: ``int(rate *
-    n)`` samples are missing at a rate, and ``int(natural * n)`` of them
-    are absent in the data already, which no schedule can restore.
+    Counts through :func:`mmtlab.synthdata.missing_count`, as the generator
+    and the schedules do: the samples absent in the data already are a
+    floor that no schedule can restore.
     """
     missing = cfg.eval.missing
     natural = cfg.synth.natural_missing.get(missing, 0.0)
-    floor = int(natural * n)
+    floor = missing_count(natural, n)
     for r in rates_pct:
-        if int(r / 100.0 * n) < floor:
+        count = missing_count(r / 100.0, n)
+        if count < floor:
             raise ConfigError(
-                f"{what}: {r:g}% of {n} samples is {int(r / 100.0 * n)}, below the "
+                f"{what}: {r:g}% of {n} samples is {count}, below the "
                 f"{floor} with {missing} naturally absent ({natural:.0%}); "
                 f"rates must start at the natural rate"
             )

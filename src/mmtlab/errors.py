@@ -39,7 +39,3 @@ class DataError(MmtlabError, ValueError):
 
 class CheckpointError(MmtlabError, ValueError):
     """A checkpoint file is unreadable or incompatible with the config."""
-
-
-class InvalidInputError(MmtlabError, ValueError):
-    """An input combination has no valid processing path."""

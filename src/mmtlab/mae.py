@@ -21,7 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, DataError
-from .missing import MmtBank
 from .model import (
     MODALITIES,
     MbtParameters,
@@ -88,17 +87,6 @@ class MaeConfig:
 
 # ---------------------------------------------------------------------------
 # masking
-
-
-def mask_tokens(n: int, ratio: float, rng: np.random.Generator):
-    """Split ``range(n)`` into (visible, masked) index arrays, both sorted.
-
-    ``floor(ratio * n)`` indices are masked, chosen uniformly without
-    replacement; sorting keeps the visible subsequence in original
-    positional order.
-    """
-    vis, msk = mask_batch(1, n, ratio, rng)
-    return vis[0], msk[0]
 
 
 def mask_batch(batch: int, n: int, ratio: float, rng: np.random.Generator):
@@ -321,11 +309,11 @@ def load_pretrained(path: str) -> tuple[MbtParameters, MaeDecoders]:
 
 def transfer_encoder(
     pretrained: MbtParameters, config: ModelConfig, seed: int
-) -> tuple[MbtParameters, MmtBank]:
+) -> MbtParameters:
     """Fresh fine-tuning parameters with the pretrained encoder copied in.
 
-    The decoder is left behind; classifier heads, readout norms, and the
-    substitution-token bank start fresh from ``seed``. The arch may differ:
+    The decoder is left behind; classifier heads and readout norms start
+    fresh from ``seed``, as does the caller's token bank. The arch may differ:
     every arch has the same parameters, and pretraining always encodes
     through the bottleneck.
     """
@@ -337,4 +325,4 @@ def transfer_encoder(
     for name, t in pretrained.tensors.items():
         if _is_encoder_name(name):
             fresh.tensors[name] = Tensor(t.data.copy())
-    return fresh, MmtBank.init(config.embed_dim, seed)
+    return fresh

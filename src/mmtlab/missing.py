@@ -14,19 +14,23 @@ Three ways to classify when a modality's input is unavailable:
 Substitution is a mask blend, ``out = (1-m)*content + m*sub`` with m in
 {0.0, 1.0}: replaced rows are bit-identical regardless of the underlying
 input, and the gradient into replaced content is exactly zero.
+
+:func:`substitute` is the one place that builds model content from
+patches: training's random replacement and every evaluation method go
+through it, so a token is applied the same way it was trained.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
-from .model import MODALITIES, ParamSet, normal_init
+from .model import MODALITIES, MbtParameters, ParamSet, embed_content, normal_init
 from .rng import Stream
 
 
@@ -101,6 +105,36 @@ def substitute_zeros(patches: np.ndarray, replace: np.ndarray) -> np.ndarray:
     return out
 
 
+def substitute(
+    params: MbtParameters,
+    bank: MmtBank,
+    patches: dict[str, np.ndarray],
+    flags: dict[str, np.ndarray],
+    method: SubstitutionMethod,
+) -> dict[str, Tensor]:
+    """Content embeddings for each modality in ``patches``, ready for
+    :func:`mmtlab.model.forward`.
+
+    ``flags[m]`` is a boolean (batch,) mask of the samples whose ``m`` is
+    absent. ``zeros`` zeroes their patches before embedding; ``mmt`` swaps
+    their embeddings for the bank's token. ``skip`` substitutes nothing:
+    the caller passes only modalities that are present (see
+    :func:`substitute_skip`), so a flagged sample there is an error.
+    """
+    content = {}
+    for m, x in patches.items():
+        replace = np.asarray(flags[m], dtype=bool)
+        if method is SubstitutionMethod.SKIP and replace.any():
+            raise ConfigError(f"skip substitutes nothing, but {m} is flagged absent")
+        if method is SubstitutionMethod.ZEROS:
+            x = substitute_zeros(x, replace)
+        emb = embed_content(params, m, x)
+        if method is SubstitutionMethod.MMT:
+            emb = replace_with_mmt(bank, m, emb, replace)
+        content[m] = emb
+    return content
+
+
 def substitute_skip(
     missing: dict[str, np.ndarray],
 ) -> list[tuple[tuple[str, ...], np.ndarray]]:
@@ -126,36 +160,22 @@ def substitute_skip(
     return groups
 
 
-@dataclass(frozen=True)
-class TrainMissingPolicy:
-    """Random-replace schedule used while training substitution tokens.
-
-    ``probs`` gives, for each modality, the chance that a modal-complete
-    sample has that modality swapped for its token in a given epoch. Draws
-    are mutually exclusive: one uniform per complete sample decides which
-    modality (if any) is replaced, so two modalities are never dropped from
-    the same sample. Samples that arrive modally incomplete are always
-    substituted for their absent modalities and consume no draw.
-    """
-
-    probs: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for m, p in self.probs.items():
-            if m not in MODALITIES:
-                raise ConfigError(f"unknown modality {m!r} in replace policy")
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"replace probability for {m} is {p}, outside [0, 1]")
-        if sum(self.probs.values()) > 1.0 + 1e-12:
-            raise ConfigError("replace probabilities sum past 1; draws are exclusive")
-
-    @property
-    def active(self) -> bool:
-        return any(p > 0 for p in self.probs.values())
+def check_replace_probs(probs: dict[str, float]) -> None:
+    """Validate ``train.replace_probs``: per modality, the chance that a
+    modal-complete sample has it swapped for its token in a given epoch.
+    The draws are exclusive (see :func:`random_replace`), so they sum to
+    at most 1."""
+    for m, p in probs.items():
+        if m not in MODALITIES:
+            raise ConfigError(f"unknown modality {m!r} in replace policy")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"replace probability for {m} is {p}, outside [0, 1]")
+    if sum(probs.values()) > 1.0 + 1e-12:
+        raise ConfigError("replace probabilities sum past 1; draws are exclusive")
 
 
 def random_replace(
-    policy: TrainMissingPolicy,
+    probs: dict[str, float],
     stream: Stream,
     natural_missing: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
@@ -165,19 +185,20 @@ def random_replace(
     order. The result marks those samples unconditionally and adds random
     replacements for complete samples, consuming exactly one uniform per
     complete sample so the stream stays aligned whatever the probabilities.
+    That uniform picks at most one modality to replace, by ``probs``.
     """
     names = [m for m in MODALITIES if m in natural_missing]
     masks = {m: np.asarray(natural_missing[m], dtype=bool).copy() for m in names}
     n = len(masks[names[0]])
     complete = ~np.logical_or.reduce([masks[m] for m in names])
-    ordered = [m for m in names if policy.probs.get(m, 0.0) > 0.0]
+    ordered = [m for m in names if probs.get(m, 0.0) > 0.0]
     for i in range(n):
         if not complete[i]:
             continue
         u = stream.uniform()
         lo = 0.0
         for m in ordered:
-            hi = lo + policy.probs[m]
+            hi = lo + probs[m]
             if lo <= u < hi:
                 masks[m][i] = True
                 break

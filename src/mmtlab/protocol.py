@@ -7,8 +7,9 @@ Raising r only ever extends the set, so results at different rates are
 comparable on shared samples, and a rate below the natural fraction is
 impossible to honor (absent data cannot be restored).
 
-Evaluation applies a substitution method to the flagged samples on the fly;
-stored data is never rewritten. Accuracies land in a
+Evaluation applies a substitution method to the flagged samples on the fly,
+through :func:`mmtlab.missing.substitute`, the one place training uses
+too; stored data is never rewritten. Accuracies land in a
 :class:`MetricsTable` whose CSV form is byte-deterministic.
 """
 
@@ -21,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigError, DataError, InfeasibleRateError, InvalidInputError
-from .missing import MmtBank, SubstitutionMethod, replace_with_mmt, substitute_skip, substitute_zeros
-from .model import MODALITIES, MbtParameters, embed_content, forward
+from .errors import ConfigError, DataError, InfeasibleRateError
+from .missing import MmtBank, SubstitutionMethod, substitute, substitute_skip
+from .model import MODALITIES, MbtParameters, forward
 from .rng import Stream
-from .synthdata import SynthDataset
+from .synthdata import SynthDataset, missing_count
 
 log = logging.getLogger("mmtlab")
 
@@ -54,7 +53,7 @@ class MissingnessSchedule:
     def count_at(self, rate: float) -> int:
         if not 0.0 <= rate <= 1.0:
             raise ConfigError(f"rate {rate} outside [0, 1]")
-        count = int(rate * self.n)
+        count = missing_count(rate, self.n)
         if count < self.natural_count:
             raise InfeasibleRateError(rate, self.natural_rate)
         return count
@@ -63,9 +62,6 @@ class MissingnessSchedule:
         mask = np.zeros(self.n, dtype=bool)
         mask[self.order[: self.count_at(rate)]] = True
         return mask
-
-    def content_hash(self) -> str:
-        return hashlib.sha1(self.order.astype("<i8").tobytes()).hexdigest()
 
 
 def build_schedule(
@@ -103,21 +99,13 @@ def class_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return 1.0 - counts / labels.shape[0]
 
 
-def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Cross-entropy with per-class weights (see :func:`class_weights`)."""
-    labels = np.asarray(labels)
-    if labels.max(initial=0) >= logits.shape[-1] or labels.min(initial=0) < 0:
-        raise DataError("label outside the logit range")
-    return ad.cross_entropy(logits, labels, weights=weights)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
 
 def _predict_group(
     params: MbtParameters,
-    bank: MmtBank | None,
+    bank: MmtBank,
     ds: SynthDataset,
     idx: np.ndarray,
     present: tuple[str, ...],
@@ -125,21 +113,9 @@ def _predict_group(
     method: SubstitutionMethod,
 ) -> np.ndarray:
     """Logits -> (len(idx), heads) label predictions for one presence group."""
-    content: dict[str, Tensor] = {}
-    for m in present:
-        patches = ds.patches(m)[idx]
-        flags = missing[m][idx]
-        if method is SubstitutionMethod.ZEROS:
-            patches = substitute_zeros(patches, flags)
-            content[m] = embed_content(params, m, patches)
-        else:
-            emb = embed_content(params, m, patches)
-            if method is SubstitutionMethod.MMT:
-                if bank is None:
-                    raise InvalidInputError("mmt evaluation needs a token bank")
-                emb = replace_with_mmt(bank, m, emb, flags)
-            content[m] = emb
-    logits = forward(params, content)
+    patches = {m: ds.patches(m)[idx] for m in present}
+    flags = {m: missing[m][idx] for m in present}
+    logits = forward(params, substitute(params, bank, patches, flags, method))
     # argmax would silently pick the first NaN, so refuse to score
     if not all(np.isfinite(l.data).all() for l in logits):
         raise FloatingPointError(f"non-finite logits in a batch of {len(idx)} samples")
@@ -148,7 +124,7 @@ def _predict_group(
 
 def evaluate(
     params: MbtParameters,
-    bank: MmtBank | None,
+    bank: MmtBank,
     ds: SynthDataset,
     missing: dict[str, np.ndarray],
     method: SubstitutionMethod,

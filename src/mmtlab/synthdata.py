@@ -196,6 +196,13 @@ def _render(config: SynthConfig, seed: int, split: str, indices: np.ndarray):
     return labels, raw
 
 
+def missing_count(rate: float, n: int) -> int:
+    """How many of ``n`` samples are missing at ``rate``: the generator's
+    natural absences, the schedules and the config's feasibility check
+    all count this way."""
+    return int(rate * n)
+
+
 def _natural_masks(config: SynthConfig, seed: int, split: str, n: int) -> dict:
     missing = {}
     for m in MODALITIES:
@@ -204,7 +211,7 @@ def _natural_masks(config: SynthConfig, seed: int, split: str, n: int) -> dict:
         if rate > 0:
             ids = list(range(n))
             Stream(seed, f"natural-missing/{split}/{m}").shuffle(ids)
-            mask[ids[: int(rate * n)]] = True
+            mask[ids[: missing_count(rate, n)]] = True
         missing[m] = mask
     return missing
 

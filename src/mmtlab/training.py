@@ -6,12 +6,13 @@ fixes which samples count as incomplete under an induced rate, and
 "random-replace" draws the per-epoch substitutions. Two calls with the
 same arguments produce bit-identical parameters.
 
-Only the modalities the model's arch reads are embedded, and the logits
-come from :func:`mmtlab.model.forward`, which evaluation calls too.
+Only the modalities the model's arch reads are embedded. Content comes
+from :func:`mmtlab.missing.substitute` and logits from
+:func:`mmtlab.model.forward`, the same two calls evaluation makes.
 Samples flagged incomplete (naturally or by schedule) always have the
 absent modality substituted with its learned token; complete samples are
-substituted at random per the policy, re-drawn every epoch, so the model
-sees the same sample both ways across epochs.
+substituted at random per ``replace_probs``, re-drawn every epoch, so the
+model sees the same sample both ways across epochs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
-from .missing import MmtBank, TrainMissingPolicy, random_replace, replace_with_mmt
-from .model import MODALITIES, MbtParameters, embed_content, forward
+from .missing import MmtBank, SubstitutionMethod, check_replace_probs, random_replace, substitute
+from .model import MODALITIES, MbtParameters, forward
 from .optim import FitResult, check_fit_settings, fit
-from .protocol import build_schedule, class_weights, weighted_cross_entropy
+from .protocol import build_schedule, class_weights
 from .rng import Stream
 from .synthdata import SynthDataset
 
@@ -51,7 +52,7 @@ class TrainConfig:
                 raise ConfigError(f"unknown modality {m!r} in induced_missing")
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"induced_missing[{m!r}] = {r} outside [0, 1]")
-        TrainMissingPolicy(self.replace_probs)  # validates probabilities
+        check_replace_probs(self.replace_probs)
 
 
 def training_missing_masks(ds: SynthDataset, tcfg: TrainConfig, seed: int) -> dict:
@@ -73,20 +74,14 @@ def training_missing_masks(ds: SynthDataset, tcfg: TrainConfig, seed: int) -> di
 
 def train(
     params: MbtParameters,
-    bank: MmtBank | None,
+    bank: MmtBank,
     ds: SynthDataset,
     tcfg: TrainConfig,
     seed: int,
 ) -> FitResult:
-    """Fit the classifier; ``kept`` counts the samples left after filtering.
-
-    ``bank`` may be None only when no sample is substituted: no random
-    replacement, and no incomplete sample left after filtering.
-    """
+    """Fit the classifier and its token bank; ``kept`` counts the samples
+    left after filtering."""
     cfg = params.config
-    policy = TrainMissingPolicy(tcfg.replace_probs)
-    if policy.active and bank is None:
-        raise ConfigError("random replacement (train.replace_probs) needs the token bank")
     masks = training_missing_masks(ds, tcfg, seed)
 
     ids = np.arange(len(ds))
@@ -97,14 +92,6 @@ def train(
         ids = ids[keep]
         if len(ids) == 0:
             raise DataError("filtering incomplete samples left nothing to train on")
-    else:
-        any_missing = np.zeros(len(ds), dtype=bool)
-        for m in MODALITIES:
-            any_missing |= masks[m]
-        if any_missing.any() and bank is None:
-            raise ConfigError(
-                "incomplete training samples need the token bank; filter them out"
-            )
 
     labels = ds.labels[ids]
     natural = {m: masks[m][ids] for m in MODALITIES}
@@ -120,27 +107,19 @@ def train(
 
     def new_epoch(perm):
         epoch_natural = {m: natural[m][perm] for m in MODALITIES}
-        replaced.update(random_replace(policy, replace_stream, epoch_natural))
+        replaced.update(random_replace(tcfg.replace_probs, replace_stream, epoch_natural))
 
     def batch_loss(sel, span):
         batch_ids = ids[sel]
-        content = {}
-        for m in cfg.input_modalities:
-            emb = embed_content(params, m, ds.patches(m)[batch_ids])
-            flags = replaced[m][span]
-            if flags.any():
-                emb = replace_with_mmt(bank, m, emb, flags)
-            content[m] = emb
+        patches = {m: ds.patches(m)[batch_ids] for m in cfg.input_modalities}
+        flags = {m: replaced[m][span] for m in cfg.input_modalities}
+        content = substitute(params, bank, patches, flags, SubstitutionMethod.MMT)
         logits = forward(params, content)
         loss = None
         for h in range(len(cfg.n_classes)):
             y = labels[sel][:, h]
-            if weights is not None:
-                part = weighted_cross_entropy(logits[h], y, weights[h])
-            else:
-                part = ad.cross_entropy(logits[h], y)
+            part = ad.cross_entropy(logits[h], y, weights[h] if weights else None)
             loss = part if loss is None else ad.add(loss, part)
         return loss
 
-    param_sets = [params] + ([bank] if bank is not None else [])
-    return fit(param_sets, len(ids), tcfg, seed, batch_loss, new_epoch)
+    return fit([params, bank], len(ids), tcfg, seed, batch_loss, new_epoch)

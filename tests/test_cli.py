@@ -9,14 +9,21 @@ import numpy as np
 import pytest
 
 from mmtlab.cli import main
-from mmtlab.config import check_data_compat, load_run_config, preset_path
-from mmtlab.errors import ConfigError, SchemaError
+from mmtlab.config import (
+    EvalConfig,
+    RunConfig,
+    check_data_compat,
+    check_feasible_rates,
+    load_run_config,
+    preset_path,
+)
+from mmtlab.errors import ConfigError, InfeasibleRateError, SchemaError
 from mmtlab.missing import MmtBank, SubstitutionMethod
 from mmtlab.model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
-from mmtlab.protocol import MetricsTable, evaluate, make_test_variants
+from mmtlab.protocol import MetricsTable, build_schedule, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
 from mmtlab.schema import decode
-from mmtlab.synthdata import generate
+from mmtlab.synthdata import SynthConfig, _natural_masks, generate
 from mmtlab.tokenizer import DESK_AUDIO
 
 
@@ -173,6 +180,29 @@ def test_eval_rates_below_the_natural_rate_fail_at_load():
     eg["data"]["n_test"], eg["eval"]["rates"] = 100, [26.9]
     with pytest.raises(ConfigError, match="below the 27"):
         load_run_config(eg)
+
+
+def accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except (ConfigError, InfeasibleRateError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("natural", [0.1, 0.27, 0.29, 0.3, 0.5, 0.75])
+def test_config_accepts_exactly_the_rates_a_schedule_can_honour(natural):
+    # the config, the generator and the schedules count missing samples
+    # the same way, so the load-time check never disagrees with the run
+    synth = SynthConfig(natural_missing={"video": natural})
+    cfg = RunConfig(synth=synth, eval=EvalConfig(rates=(100.0,)))
+    rates = sorted({*np.arange(0.0, 100.01, 0.5).tolist(), 26.9, 28.99, 29.0, 29.01})
+    for n in (1, 7, 10, 64, 100, 128, 333):
+        natural_mask = _natural_masks(synth, 3, "test", n)["video"]
+        schedule = build_schedule(natural_mask, 3, "test-missing")
+        for r in rates:
+            want = accepts(schedule.mask_at, r / 100.0)
+            assert accepts(check_feasible_rates, cfg, "rates", [r], n) == want, (n, r)
 
 
 def test_geometry_mismatch_is_caught_before_running():
@@ -362,6 +392,43 @@ def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys)
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "CheckpointError"
     assert "fusion_mode" in record["message"]
+
+
+def error_records(capsys) -> list[dict]:
+    err = capsys.readouterr().err
+    return [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+
+
+def test_eval_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys):
+    # a one-head model scored against a two-head split would compare its
+    # predictions with the other head's labels
+    one_head = micro_preset(tmp_path, "epic-sounds-like")
+    assert main(["train", "--config", one_head]) == 0
+    two_heads = micro_preset(tmp_path, "epic-kitchens-like")
+    out = tmp_path / "scored"
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    capsys.readouterr()
+    code = main(["eval", "--config", two_heads, "--checkpoint", ckpt, "--out", str(out)])
+    assert code == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert "n_classes" in record["message"]
+    assert not (out / "metrics.csv").exists()
+
+
+def test_eval_rejects_a_checkpoint_without_a_token_bank(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert main(["train", "--config", path]) == 0
+    ckpt = tmp_path / "run" / "model.ckpt"
+    arrays, ckpt_cfg, stage = load_checkpoint(str(ckpt))
+    stripped = {k: v for k, v in arrays.items() if not k.startswith("mmt.")}
+    assert len(stripped) < len(arrays)
+    save_checkpoint(str(ckpt), stripped, ckpt_cfg, stage)
+    capsys.readouterr()
+    assert main(["eval", "--config", path]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "CheckpointError"
+    assert "MmtBank" in record["message"]
 
 
 def test_schema_violation_yields_error_record_with_keys(tmp_path, capsys):

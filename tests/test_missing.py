@@ -7,13 +7,17 @@ from mmtlab.errors import CheckpointError, ConfigError, DimensionError
 from mmtlab.missing import (
     MmtBank,
     SubstitutionMethod,
-    TrainMissingPolicy,
+    check_replace_probs,
     random_replace,
     replace_with_mmt,
+    substitute,
     substitute_skip,
     substitute_zeros,
 )
+from mmtlab.model import MbtParameters, embed_content
 from mmtlab.rng import Stream
+
+from helpers import micro_model_config
 
 
 def test_method_parsing():
@@ -128,6 +132,31 @@ def test_zeros_substitution_zeroes_raw_patches_only():
         substitute_zeros(patches, np.zeros(3, dtype=bool))
 
 
+def test_substitute_builds_content_per_method():
+    mcfg = micro_model_config()
+    params = MbtParameters.init(mcfg, seed=1)
+    bank = MmtBank.init(mcfg.embed_dim, seed=1)
+    rng = np.random.default_rng(5)
+    patches = {"audio": rng.standard_normal((3, mcfg.tokens("audio"), mcfg.patch_dim("audio")))}
+    flags = {"audio": np.array([False, True, False])}
+    plain = embed_content(params, "audio", patches["audio"]).data
+    zeroed = embed_content(params, "audio", np.zeros_like(patches["audio"])).data
+
+    mmt = substitute(params, bank, patches, flags, SubstitutionMethod.MMT)["audio"].data
+    zeros = substitute(params, bank, patches, flags, SubstitutionMethod.ZEROS)["audio"].data
+    for out in (mmt, zeros):
+        np.testing.assert_array_equal(out[[0, 2]], plain[[0, 2]])
+    assert np.all(mmt[1] == bank["audio"].data)
+    np.testing.assert_array_equal(zeros[1], zeroed[1])
+
+    none = {"audio": np.zeros(3, dtype=bool)}
+    skip = substitute(params, bank, patches, none, SubstitutionMethod.SKIP)["audio"].data
+    np.testing.assert_array_equal(skip, plain)
+    # skip drops absent modalities instead; a flagged one is a caller error
+    with pytest.raises(ConfigError, match="flagged absent"):
+        substitute(params, bank, patches, flags, SubstitutionMethod.SKIP)
+
+
 def test_skip_partition_covers_batch_once():
     missing = {
         "audio": np.array([False, True, False, True, False, True]),
@@ -155,52 +184,51 @@ def test_skip_partition_group_order_is_deterministic():
 
 def test_policy_validation():
     with pytest.raises(ConfigError):
-        TrainMissingPolicy({"video": 1.5})
+        check_replace_probs({"video": 1.5})
     with pytest.raises(ConfigError):
-        TrainMissingPolicy({"video": 0.7, "audio": 0.7})
+        check_replace_probs({"video": 0.7, "audio": 0.7})
     with pytest.raises(ConfigError):
-        TrainMissingPolicy({"depth": 0.1})
-    assert not TrainMissingPolicy({}).active
-    assert not TrainMissingPolicy({"video": 0.0}).active
-    assert TrainMissingPolicy({"video": 0.25}).active
+        check_replace_probs({"depth": 0.1})
+    for ok in ({}, {"video": 0.0}, {"audio": 0.5, "video": 0.5}):
+        check_replace_probs(ok)
 
 
 def test_random_replace_keeps_natural_absences():
-    policy = TrainMissingPolicy({"video": 0.0})
+    probs = {"video": 0.0}
     natural = {
         "audio": np.array([False, False, True, False]),
         "video": np.array([True, False, False, False]),
     }
-    masks = random_replace(policy, Stream(0, "random-replace"), natural)
+    masks = random_replace(probs, Stream(0, "random-replace"), natural)
     np.testing.assert_array_equal(masks["audio"], natural["audio"])
     np.testing.assert_array_equal(masks["video"], natural["video"])
 
 
 def test_random_replace_rate_approaches_probability():
-    policy = TrainMissingPolicy({"video": 0.25})
+    probs = {"video": 0.25}
     n = 20000
     natural = {"audio": np.zeros(n, dtype=bool), "video": np.zeros(n, dtype=bool)}
-    masks = random_replace(policy, Stream(7, "random-replace"), natural)
+    masks = random_replace(probs, Stream(7, "random-replace"), natural)
     rate = masks["video"].mean()
     assert abs(rate - 0.25) < 0.01
     assert not masks["audio"].any()
 
 
 def test_random_replace_is_deterministic_per_seed():
-    policy = TrainMissingPolicy({"video": 0.5})
+    probs = {"video": 0.5}
     natural = {"audio": np.zeros(64, dtype=bool), "video": np.zeros(64, dtype=bool)}
-    a = random_replace(policy, Stream(3, "random-replace"), natural)
-    b = random_replace(policy, Stream(3, "random-replace"), natural)
-    c = random_replace(policy, Stream(4, "random-replace"), natural)
+    a = random_replace(probs, Stream(3, "random-replace"), natural)
+    b = random_replace(probs, Stream(3, "random-replace"), natural)
+    c = random_replace(probs, Stream(4, "random-replace"), natural)
     np.testing.assert_array_equal(a["video"], b["video"])
     assert not np.array_equal(a["video"], c["video"])
 
 
 def test_dual_replace_is_mutually_exclusive():
-    policy = TrainMissingPolicy({"audio": 0.4, "video": 0.4})
+    probs = {"audio": 0.4, "video": 0.4}
     n = 10000
     natural = {"audio": np.zeros(n, dtype=bool), "video": np.zeros(n, dtype=bool)}
-    masks = random_replace(policy, Stream(5, "random-replace"), natural)
+    masks = random_replace(probs, Stream(5, "random-replace"), natural)
     assert not np.any(masks["audio"] & masks["video"])
     assert abs(masks["audio"].mean() - 0.4) < 0.02
     assert abs(masks["video"].mean() - 0.4) < 0.02
@@ -209,14 +237,14 @@ def test_dual_replace_is_mutually_exclusive():
 def test_incomplete_samples_consume_no_draws():
     # the uniform stream position only advances on complete samples, so a
     # run with extra natural absences sees the same draws for the rest
-    policy = TrainMissingPolicy({"video": 0.5})
+    probs = {"video": 0.5}
     base_natural = {"audio": np.zeros(10, dtype=bool), "video": np.zeros(10, dtype=bool)}
     more_natural = {
         "audio": np.array([True] + [False] * 9),
         "video": np.zeros(10, dtype=bool),
     }
-    a = random_replace(policy, Stream(9, "random-replace"), base_natural)
-    b = random_replace(policy, Stream(9, "random-replace"), more_natural)
+    a = random_replace(probs, Stream(9, "random-replace"), base_natural)
+    b = random_replace(probs, Stream(9, "random-replace"), more_natural)
     # sample 0 consumed one draw in run a; in run b it is skipped, so run
     # b's sample 1 sees run a's sample-0 draw
     np.testing.assert_array_equal(a["video"][:9], b["video"][1:])

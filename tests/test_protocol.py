@@ -9,8 +9,8 @@ from helpers import micro_model_config, micro_synth_config
 from mmtlab import autodiff as ad
 from mmtlab.autodiff import Tensor
 from mmtlab.errors import ConfigError, DataError, InfeasibleRateError
-from mmtlab.missing import MmtBank, SubstitutionMethod
-from mmtlab.model import MbtParameters
+from mmtlab.missing import MmtBank, SubstitutionMethod, substitute
+from mmtlab.model import MbtParameters, forward
 from mmtlab.protocol import (
     MetricsTable,
     blob_sha1,
@@ -19,7 +19,6 @@ from mmtlab.protocol import (
     evaluate,
     make_test_variants,
     sweep,
-    weighted_cross_entropy,
     write_manifest,
 )
 from mmtlab.synthdata import SynthDataset, generate
@@ -70,7 +69,6 @@ def test_schedule_is_seed_deterministic_and_stream_separated():
     np.testing.assert_array_equal(a.order, b.order)
     assert not np.array_equal(a.order, c.order)
     assert not np.array_equal(a.order, d.order)
-    assert a.content_hash() == b.content_hash() != c.content_hash()
 
 
 def test_variants_counts_and_nesting():
@@ -110,7 +108,7 @@ def test_uniform_histogram_scales_unweighted_loss():
     labels = np.tile(np.arange(4), 2)  # exactly uniform
     w = class_weights(labels, 4)
     np.testing.assert_allclose(w, 0.75)
-    weighted = weighted_cross_entropy(logits, labels, w)
+    weighted = ad.cross_entropy(logits, labels, w)
     plain = ad.cross_entropy(Tensor(logits.data), labels)
     np.testing.assert_allclose(weighted.data, 0.75 * plain.data, atol=1e-12)
 
@@ -119,7 +117,7 @@ def test_weight_functions_reject_bad_labels():
     with pytest.raises(DataError):
         class_weights(np.array([0, 5]), 3)
     with pytest.raises(DataError):
-        weighted_cross_entropy(Tensor(np.zeros((1, 3))), np.array([7]), np.ones(3))
+        class_weights(np.array([-1, 0]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +186,35 @@ def test_accuracy_is_order_invariant(setup):
 def test_zeros_and_mmt_substitution_give_different_logits(setup):
     # the zero-input image (projection bias) only matches the learned token
     # by coincidence, so the two methods disagree on a random model
-    from mmtlab.missing import replace_with_mmt, substitute_zeros
-    from mmtlab.model import embed_content, forward
-
     ds, params, bank = setup
-    flags = np.ones(len(ds), dtype=bool)
-    video = embed_content(params, "video", ds.patches("video"))
-    mmt_content = {
-        "audio": replace_with_mmt(
-            bank, "audio", embed_content(params, "audio", ds.patches("audio")), flags
-        ),
-        "video": video,
-    }
-    zero_content = {
-        "audio": embed_content(params, "audio", substitute_zeros(ds.patches("audio"), flags)),
-        "video": video,
-    }
-    a = forward(params, mmt_content)
-    b = forward(params, zero_content)
+    patches = {m: ds.patches(m) for m in ("audio", "video")}
+    flags = {"audio": np.ones(len(ds), dtype=bool), "video": np.zeros(len(ds), dtype=bool)}
+    a = forward(params, substitute(params, bank, patches, flags, SubstitutionMethod.MMT))
+    b = forward(params, substitute(params, bank, patches, flags, SubstitutionMethod.ZEROS))
     assert max(np.abs(x.data - y.data).max() for x, y in zip(a, b)) > 1e-9
+
+
+@pytest.mark.parametrize("method", list(SubstitutionMethod), ids=lambda m: m.value)
+def test_evaluate_is_argmax_of_forward_over_substitute(setup, method):
+    ds, params, bank = setup
+    flags = np.random.default_rng(6).uniform(size=len(ds)) < 0.5
+    assert flags.any() and not flags.all()
+    missing = {"audio": np.zeros(len(ds), dtype=bool), "video": flags}
+    res = evaluate(params, bank, ds, missing, method)
+
+    def preds(present, flags):
+        patches = {m: ds.patches(m) for m in present}
+        logits = forward(params, substitute(params, bank, patches, flags, method))
+        return np.stack([l.data.argmax(axis=1) for l in logits], axis=1)
+
+    if method is SubstitutionMethod.SKIP:
+        # skip runs each sample on the modalities it has left
+        both = preds(("audio", "video"), no_missing(ds))
+        audio = preds(("audio",), no_missing(ds))
+        want = np.where(flags[:, None], audio, both)
+    else:
+        want = preds(("audio", "video"), missing)
+    np.testing.assert_array_equal(res["preds"], want)
 
 
 def test_skip_batch_equals_single_sample_dispatch(setup):
@@ -216,8 +224,8 @@ def test_skip_batch_equals_single_sample_dispatch(setup):
         "audio": rng.uniform(size=len(ds)) < 0.3,
         "video": rng.uniform(size=len(ds)) < 0.3,
     }
-    big = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP, batch_size=128)
-    one = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP, batch_size=1)
+    big = evaluate(params, bank, ds, missing, SubstitutionMethod.SKIP, batch_size=128)
+    one = evaluate(params, bank, ds, missing, SubstitutionMethod.SKIP, batch_size=1)
     np.testing.assert_array_equal(big["preds"], one["preds"])
 
 
@@ -227,19 +235,19 @@ def test_skip_scores_fully_missing_samples_wrong(setup, caplog):
     missing["audio"][:10] = True
     missing["video"][:10] = True
     with caplog.at_level(logging.WARNING, logger="mmtlab"):
-        res = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP)
+        res = evaluate(params, bank, ds, missing, SubstitutionMethod.SKIP)
     assert any("missing every modality" in r.message for r in caplog.records)
     assert np.all(res["preds"][:10] == -1)
 
 
 def test_skip_equals_single_branch_forward(setup):
     # dropping video must equal running the reduced forward directly
-    from mmtlab.model import embed_content, forward
+    from mmtlab.model import embed_content
 
     ds, params, bank = setup
     missing = no_missing(ds)
     missing["video"][:] = True
-    res = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP)
+    res = evaluate(params, bank, ds, missing, SubstitutionMethod.SKIP)
     content = {"audio": embed_content(params, "audio", ds.patches("audio"))}
     logits = forward(params, content)
     want = np.stack([l.data.argmax(axis=1) for l in logits], axis=1)
@@ -254,7 +262,7 @@ def test_unimodal_arch_evaluation(setup):
     # unimodal model with its only modality missing everywhere scores zero-ish
     missing = no_missing(ds)
     missing["video"][:] = True
-    gone = evaluate(params, None, ds, missing, SubstitutionMethod.SKIP)
+    gone = evaluate(params, bank, ds, missing, SubstitutionMethod.SKIP)
     assert np.all(gone["preds"] == -1)
 
 

@@ -85,7 +85,7 @@ def test_mmt_token_updates_only_when_substitution_happens():
 def test_unimodal_training_leaves_other_stack_frozen():
     ds, params, bank = fresh(arch="unimodal:audio")
     before = snapshot(params)
-    train(params, None, ds, micro_train_config(), seed=2)
+    train(params, bank, ds, micro_train_config(), seed=2)
     after = snapshot(params)
     for k in before:
         if k.startswith("video.") or k == "z":
@@ -97,7 +97,7 @@ def test_full_sa_training_runs_and_uses_shared_stack():
     ds, params, bank = fresh(arch="full_sa")
     mcfg = params.config
     before = snapshot(params)
-    train(params, None, ds, micro_train_config(), seed=2)
+    train(params, bank, ds, micro_train_config(), seed=2)
     after = snapshot(params)
     top = mcfg.layers - 1
     # video's top block is unused in this mode, audio's is shared
@@ -105,20 +105,11 @@ def test_full_sa_training_runs_and_uses_shared_stack():
     assert not np.array_equal(before[f"audio.layers.{top}.wqkv"], after[f"audio.layers.{top}.wqkv"])
 
 
-def test_incomplete_data_requires_token_bank():
+def test_filter_incomplete_trains_on_complete_samples_only():
     scfg = micro_synth_config(natural_missing={"audio": 0.5})
     ds, params, bank = fresh(scfg=scfg)
-    with pytest.raises(ConfigError):
-        train(params, None, ds, micro_train_config(), seed=1)
-    # filtering is the sanctioned way to train without the bank
-    result = train(params, None, ds, micro_train_config(filter_incomplete=True), seed=1)
+    result = train(params, bank, ds, micro_train_config(filter_incomplete=True), seed=1)
     assert result.kept == len(ds) - int(0.5 * len(ds))
-
-
-def test_random_replacement_requires_token_bank():
-    ds, params, bank = fresh()
-    with pytest.raises(ConfigError, match="replace_probs"):
-        train(params, None, ds, micro_train_config(replace_probs={"video": 0.25}), seed=1)
 
 
 def test_filtering_everything_is_an_error():
