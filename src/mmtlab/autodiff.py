@@ -149,7 +149,7 @@ class Tensor:
                 # callers may reuse their buffer, so copy rather than alias
                 self.grad = g.copy()
                 return
-            self.grad = np.zeros_like(self.data)
+            self.grad = _zeros(self)
         self.grad += g
 
     def accumulate_owned(self, g: np.ndarray) -> None:
@@ -199,6 +199,15 @@ class Tensor:
 def _wrap(x, like: Tensor) -> Tensor:
     """A constant operand, in ``like``'s dtype."""
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
+
+
+def _zeros(t: Tensor) -> np.ndarray:
+    """C-ordered zeros in ``t``'s shape and dtype, for a gradient buffer.
+
+    Not ``zeros_like``: that copies the layout of a view, and the layout of
+    a broadcast view would reorder the sums later taken over the buffer.
+    """
+    return np.zeros(t.shape, dtype=t.data.dtype)
 
 
 def _record(out: Tensor) -> Tensor:
@@ -316,18 +325,23 @@ def tanh(a: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU forward; returns the output and the tanh term backward needs."""
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh term of GELU, tanh(c (x + 0.044715 x^3)); backward needs it."""
     t = x * x
     t *= 0.044715
     t += 1.0
     t *= x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
+
+
+def _gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU from its input and tanh term: 0.5 x (1 + t)."""
     y = t + 1.0
     y *= x
     y *= 0.5
-    return y, t
+    return y
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -349,8 +363,8 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
-    y, t = _gelu(a.data)
-    out = Tensor(y, (a,))
+    t = _gelu_tanh(a.data)
+    out = Tensor(_gelu_out(a.data, t), (a,))
 
     def backward(g):
         a.accumulate_owned(_gelu_grad(g, a.data, t))
@@ -382,8 +396,9 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
+    """``a`` expanded to ``shape``, as numpy's read-only view of it."""
     shape = tuple(shape)
-    out = Tensor(np.broadcast_to(a.data, shape).copy(), (a,))
+    out = Tensor(np.broadcast_to(a.data, shape), (a,))
 
     def backward(g):
         a.accumulate(_unbroadcast(g, a.shape))
@@ -408,7 +423,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis.
+    """Contiguous slice along one axis, a view of the input.
 
     Backward adds ``g`` into the slice of the input's gradient in place, so
     the several narrows of one tensor share one buffer.
@@ -416,11 +431,11 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out = Tensor(a.data[idx].copy(), (a,))
+    out = Tensor(a.data[idx], (a,))
 
     def backward(g):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            a.grad = _zeros(a)
         a.grad[idx] += g
 
     out._backward = backward
@@ -472,7 +487,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            a.grad = _zeros(a)
         ordered = np.sort(idx, axis=1)
         if (ordered[:, 1:] != ordered[:, :-1]).all():
             a.grad[batch_ix, idx] += g
@@ -675,8 +690,9 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Transformer MLP, ``linear(gelu(linear(x, w1, b1)), w2, b2)``, as one node.
 
-    Same arithmetic as the three-op composite; keeps the pre-activation,
-    the tanh term and the activation for backward.
+    Same arithmetic as the three-op composite. Backward keeps only the
+    pre-activation ``h`` and the tanh term ``t``; it rebuilds the GELU
+    output from them in the forward's op order, so bit for bit.
     """
     if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise DimensionError(
@@ -684,15 +700,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         )
     h = x.data @ w1.data
     h += b1.data
-    a, t = _gelu(h)
-    y = a @ w2.data
+    t = _gelu_tanh(h)
+    y = _gelu_out(h, t) @ w2.data
     y += b2.data
     out = Tensor(y, (x, w1, b1, w2, b2))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         hidden = w1.shape[1]
-        w2.accumulate_owned(a.reshape(-1, hidden).T @ g2)
+        w2.accumulate_owned(_gelu_out(h, t).reshape(-1, hidden).T @ g2)
         b2.accumulate_owned(g2.sum(axis=0))
         gh = _gelu_grad(g2 @ w2.data.T, h.reshape(-1, hidden), t.reshape(-1, hidden))
         x.accumulate_owned((gh @ w1.data.T).reshape(x.shape))

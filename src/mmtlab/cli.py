@@ -60,6 +60,8 @@ def _resolve(args) -> RunConfig:
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
+    """Create the run directory and write the resolved config into it;
+    commands call this only once their inputs have been checked."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(str(out / "config.json"))
@@ -180,8 +182,8 @@ def cmd_eval(args) -> int:
     method = SubstitutionMethod.parse(args.method or cfg.eval.method)
     rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval.rates)
     check_feasible_rates(cfg, "--rtest", rates, cfg.data.n_test)
+    params, bank = _load_finetune(cfg, args.checkpoint or str(Path(cfg.out) / "model.ckpt"))
     out = _prepare_out(cfg)
-    params, bank = _load_finetune(cfg, args.checkpoint or str(out / "model.ckpt"))
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     cells = [
         {"method": method.value, "r_test": r, "seed": cfg.seed, "heads": params.config.head_names}
@@ -238,16 +240,16 @@ def _ensure_cell_model(out: str, cfg: RunConfig, axis: str, value: float, seed: 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     check_data_compat(cfg)
-    out = _prepare_out(cfg)
     axis = args.axis
     grid = _parse_rates(args.grid)
     if not grid:
         raise ConfigError("--grid must list at least one value")
-    for value in grid:  # reject a bad grid before any cell trains
+    for value in grid:  # reject a bad grid before anything is written
         _apply_axis(cfg, axis, value)
     if axis == "r_train":
         check_feasible_rates(cfg, "--grid", grid, cfg.data.n_train)
     method = SubstitutionMethod.parse(cfg.eval.method)
+    out = _prepare_out(cfg)
 
     pending = [
         (str(out), cfg, axis, value, seed)

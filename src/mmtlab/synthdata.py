@@ -24,11 +24,16 @@ matrix, and the module needs numpy alone.
 
 Sample i is drawn from its own counter-derived generator, so any subset of
 samples regenerates identically regardless of chunking or order.
+
+A split is rendered in float64 and freed once tokenized: a dataset stores
+only the float32 patches the model reads, one copy per modality, and
+rebuilds the float64 ``raw`` view from them when asked.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,6 +49,8 @@ from .tokenizer import (
     SpectrogramGeometry,
     VideoGeometry,
     spectrogram_patches,
+    unpatch_spectrogram,
+    unpatch_video,
     video_patches,
 )
 
@@ -132,49 +139,85 @@ def templates(config: SynthConfig, modality: str) -> dict[int, np.ndarray]:
     return out
 
 
-@dataclass
 class SynthDataset:
     """Generated samples plus their ground-truth absence masks.
 
-    Naturally absent entries carry all-zero raw data: the information is
-    gone at generation time, not merely hidden behind the mask, so nothing
+    The samples are held once, as the float32 ``(n, tokens, patch_dim)``
+    patches the model reads: the constructor takes the rendered float64
+    ``raw`` dict, casts each modality straight into that layout and keeps
+    only the patches. ``raw`` is rebuilt from them on access, as float64
+    of exactly the float32 values the model sees.
+
+    Naturally absent entries carry all-zero data: the information is gone
+    at generation time, not merely hidden behind the mask, so nothing
     downstream can accidentally peek. Schedule-induced missingness (test
     variants, r_train schedules) is the opposite: it lives in masks only
     and never touches stored data.
     """
 
-    config: SynthConfig
-    seed: int
-    split: str
-    labels: np.ndarray  # (n, heads) int64
-    raw: dict  # modality -> (n, *raw_shape) float64
-    missing: dict  # modality -> (n,) bool
-    _patch_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        config: SynthConfig,
+        seed: int,
+        split: str,
+        labels: np.ndarray,  # (n, heads) int64
+        raw: Mapping[str, np.ndarray],  # modality -> (n, *raw_shape)
+        missing: dict,  # modality -> (n,) bool
+    ):
+        self.config = config
+        self.seed = seed
+        self.split = split
+        self.labels = labels
+        self.missing = missing
+        self._patches = {
+            "audio": spectrogram_patches(raw["audio"], config.audio, dtype=np.float32),
+            "video": video_patches(raw["video"], config.video, dtype=np.float32),
+        }
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def patches(self, modality: str) -> np.ndarray:
-        """Tokenized raw input, cached; (n, tokens, patch_dim) float32.
+        """The stored samples of one modality; (n, tokens, patch_dim) float32."""
+        if modality not in self._patches:
+            raise ConfigError(f"unknown modality {modality!r}")
+        return self._patches[modality]
 
-        float32 is the model's compute dtype, so batches are cut from this
-        without a cast; ``raw`` stays float64 for the matched filter.
-        """
-        if modality not in self._patch_cache:
-            if modality == "audio":
-                tokens = spectrogram_patches(self.raw["audio"], self.config.audio)
-            elif modality == "video":
-                tokens = video_patches(self.raw["video"], self.config.video)
-            else:
-                raise ConfigError(f"unknown modality {modality!r}")
-            self._patch_cache[modality] = tokens.astype(np.float32)
-        return self._patch_cache[modality]
+    @property
+    def raw(self) -> Mapping[str, np.ndarray]:
+        """Read-only modality -> (n, *raw_shape) float64, rebuilt from the
+        patches on each lookup; for the matched filter and inspection."""
+        return _RawView(self)
 
     def complete_mask(self) -> np.ndarray:
         out = np.ones(len(self), dtype=bool)
         for m in MODALITIES:
             out &= ~self.missing[m]
         return out
+
+
+class _RawView(Mapping):
+    """``SynthDataset.raw``: each lookup un-patches one modality into a
+    fresh read-only float64 array."""
+
+    def __init__(self, ds: SynthDataset):
+        self._ds = ds
+
+    def __getitem__(self, modality: str) -> np.ndarray:
+        if modality == "audio":
+            x = unpatch_spectrogram(self._ds.patches("audio"), self._ds.config.audio, np.float64)
+        elif modality == "video":
+            x = unpatch_video(self._ds.patches("video"), self._ds.config.video, np.float64)
+        else:
+            raise KeyError(modality)
+        x.setflags(write=False)
+        return x
+
+    def __iter__(self):
+        return iter(MODALITIES)
+
+    def __len__(self) -> int:
+        return len(MODALITIES)
 
 
 def _render(config: SynthConfig, seed: int, split: str, indices: np.ndarray):
@@ -228,20 +271,20 @@ def generate(config: SynthConfig, seed: int, n: int, split: str = "train") -> Sy
 
 
 def template_match(
-    config: SynthConfig, raw: dict, subset: tuple[str, ...]
+    config: SynthConfig, raw: Mapping[str, np.ndarray], subset: tuple[str, ...]
 ) -> np.ndarray:
     """Matched-filter predictions from the observed subset; (n, heads)."""
     if not subset:
         raise ConfigError("template matching needs at least one modality")
-    n = raw[subset[0]].shape[0]
+    flat = {m: raw[m].reshape(-1, config.raw_size(m)) for m in subset}
+    n = flat[subset[0]].shape[0]
     heads = len(config.n_classes)
     preds = np.zeros((n, heads), dtype=np.int64)
     for h in range(heads):
         scores = np.zeros((n, config.n_classes[h]))
         for m in subset:
             bank = templates(config, m)[h]
-            flat = raw[m].reshape(n, -1)
-            scores += config.gains[m][h] * (flat @ bank.T)
+            scores += config.gains[m][h] * (flat[m] @ bank.T)
         preds[:, h] = scores.argmax(axis=1)
     return preds
 

@@ -106,8 +106,12 @@ DESK_AUDIO = SpectrogramGeometry(bins=16, frames=64, patch_bins=8, patch_frames=
 DESK_VIDEO = VideoGeometry(frames=4, height=32, width=32, patch_t=2, patch_h=8, patch_w=8)
 
 
-def spectrogram_patches(x: np.ndarray, geom: SpectrogramGeometry) -> np.ndarray:
-    """(batch, bins, frames) -> (batch, tokens, patch_dim), row-major grid."""
+def spectrogram_patches(x: np.ndarray, geom: SpectrogramGeometry, dtype=None) -> np.ndarray:
+    """(batch, bins, frames) -> (batch, tokens, patch_dim), row-major grid.
+
+    The result is in ``dtype`` (default: ``x``'s), cast while the patches
+    are gathered, so no full-size copy in ``x``'s dtype is made on the way.
+    """
     if x.ndim != 3 or x.shape[1] != geom.bins or x.shape[2] != geom.frames:
         raise DimensionError(
             f"expected (batch, {geom.bins}, {geom.frames}) spectrograms, got {x.shape}"
@@ -115,12 +119,13 @@ def spectrogram_patches(x: np.ndarray, geom: SpectrogramGeometry) -> np.ndarray:
     b = x.shape[0]
     rows, cols = geom.grid
     x = x.reshape(b, rows, geom.patch_bins, cols, geom.patch_frames)
-    x = x.transpose(0, 1, 3, 2, 4)
-    return np.ascontiguousarray(x.reshape(b, rows * cols, geom.patch_dim))
+    x = np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4), dtype=dtype)
+    return x.reshape(b, rows * cols, geom.patch_dim)
 
 
-def video_patches(x: np.ndarray, geom: VideoGeometry) -> np.ndarray:
-    """(batch, frames, h, w) -> (batch, tokens, patch_dim), t-major grid."""
+def video_patches(x: np.ndarray, geom: VideoGeometry, dtype=None) -> np.ndarray:
+    """(batch, frames, h, w) -> (batch, tokens, patch_dim), t-major grid,
+    in ``dtype`` as for :func:`spectrogram_patches`."""
     if x.ndim != 4 or x.shape[1:] != (geom.frames, geom.height, geom.width):
         raise DimensionError(
             f"expected (batch, {geom.frames}, {geom.height}, {geom.width}) clips, got {x.shape}"
@@ -128,23 +133,23 @@ def video_patches(x: np.ndarray, geom: VideoGeometry) -> np.ndarray:
     b = x.shape[0]
     t, h, w = geom.grid
     x = x.reshape(b, t, geom.patch_t, h, geom.patch_h, w, geom.patch_w)
-    x = x.transpose(0, 1, 3, 5, 2, 4, 6)
-    return np.ascontiguousarray(x.reshape(b, t * h * w, geom.patch_dim))
+    x = np.ascontiguousarray(x.transpose(0, 1, 3, 5, 2, 4, 6), dtype=dtype)
+    return x.reshape(b, t * h * w, geom.patch_dim)
 
 
-def unpatch_spectrogram(tokens: np.ndarray, geom: SpectrogramGeometry) -> np.ndarray:
-    """Inverse of :func:`spectrogram_patches`."""
+def unpatch_spectrogram(tokens: np.ndarray, geom: SpectrogramGeometry, dtype=None) -> np.ndarray:
+    """Inverse of :func:`spectrogram_patches`, in ``dtype``."""
     b = tokens.shape[0]
     rows, cols = geom.grid
     x = tokens.reshape(b, rows, cols, geom.patch_bins, geom.patch_frames)
-    x = x.transpose(0, 1, 3, 2, 4)
-    return np.ascontiguousarray(x.reshape(b, geom.bins, geom.frames))
+    x = np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4), dtype=dtype)
+    return x.reshape(b, geom.bins, geom.frames)
 
 
-def unpatch_video(tokens: np.ndarray, geom: VideoGeometry) -> np.ndarray:
-    """Inverse of :func:`video_patches`."""
+def unpatch_video(tokens: np.ndarray, geom: VideoGeometry, dtype=None) -> np.ndarray:
+    """Inverse of :func:`video_patches`, in ``dtype``."""
     b = tokens.shape[0]
     t, h, w = geom.grid
     x = tokens.reshape(b, t, h, w, geom.patch_t, geom.patch_h, geom.patch_w)
-    x = x.transpose(0, 1, 4, 2, 5, 3, 6)
-    return np.ascontiguousarray(x.reshape(b, geom.frames, geom.height, geom.width))
+    x = np.ascontiguousarray(x.transpose(0, 1, 4, 2, 5, 3, 6), dtype=dtype)
+    return x.reshape(b, geom.frames, geom.height, geom.width)

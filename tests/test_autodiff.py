@@ -440,6 +440,43 @@ def test_grad_gather_rows_distinct_indices():
     _check(lambda x: ad.add(ad.sum_(ad.gather_rows(x, idx)), ad.mean(ad.mul(x, x))), [a])
 
 
+def test_narrow_and_broadcast_to_return_views():
+    a = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    piece = ad.narrow(a, 1, 1, 2)
+    assert np.shares_memory(piece.data, a.data)
+    np.testing.assert_array_equal(piece.data, a.data[:, 1:3])
+    row = Tensor(np.arange(4.0, dtype=np.float32))
+    wide = ad.broadcast_to(row, (3, 4))
+    assert wide.data.dtype == np.float32 and np.shares_memory(wide.data, row.data)
+    np.testing.assert_array_equal(wide.data, np.tile(row.data, (3, 1)))
+    with pytest.raises(ValueError):  # one element stands for a whole column
+        wide.data[0, 0] = 1.0
+
+
+def test_gradients_through_a_broadcast_view_match_a_copy_bit_for_bit():
+    # the MAE encoder narrows and gathers rows of a broadcast positional
+    # table; the gradient buffers behind the view must sum as a copy's do
+    rng = np.random.default_rng(14)
+    b, n, d = 64, 9, 16
+    pos = rng.standard_normal((1, n, d)).astype(np.float32)
+    idx = np.argsort(rng.uniform(size=(b, n)), axis=1)[:, :5]
+    w1, w2 = (rng.standard_normal(s).astype(np.float32) for s in ((b, 1, d), (b, 5, d)))
+
+    def pos_grad(copy: bool):
+        p = Tensor(pos.copy())
+        with Tape() as tape:
+            full = ad.broadcast_to(p, (b, n, d))
+            if copy:
+                full = ad.add(full, Tensor(np.zeros((b, n, d), dtype=np.float32)))
+            head = ad.mean(ad.mul(ad.narrow(full, 1, 0, 1), Tensor(w1)))
+            rows = ad.mean(ad.mul(ad.gather_rows(full, idx), Tensor(w2)))
+            loss = ad.add(head, rows)
+        tape.backward(loss)
+        return p.grad
+
+    assert pos_grad(copy=False).tobytes() == pos_grad(copy=True).tobytes()
+
+
 def test_grad_narrow_pieces_add_into_one_gradient():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((2, 4, 3))
@@ -491,6 +528,31 @@ def test_grad_mlp():
             [x, w1, b1, w2, b2],
             tol=1e-4,
         )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_equals_linear_gelu_linear_bit_for_bit(dtype):
+    rng = np.random.default_rng(13)
+    b, n, d, hidden = 3, 7, 16, 32
+    shapes = [(b, n, d), (d, hidden), (hidden,), (hidden, d), (d,)]
+    arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    w = rng.standard_normal((b, n, d)).astype(dtype)
+
+    def run(op):
+        inputs = [Tensor(a.copy()) for a in arrays]
+        with Tape() as tape:
+            out = op(*inputs)
+            loss = ad.mean(ad.mul(out, Tensor(w)))
+        tape.backward(loss)
+        return [out.data] + [t.grad for t in inputs]
+
+    def composite(x, w1, b1, w2, b2):
+        return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+
+    fused, reference = run(ad.mlp), run(composite)
+    for got, want in zip(fused, reference):  # output, then the five gradients
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mlp_rejects_mismatched_widths():

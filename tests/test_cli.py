@@ -416,6 +416,30 @@ def test_eval_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def test_failing_eval_leaves_the_run_directory_as_it_was(tmp_path, capsys):
+    one_head = micro_preset(tmp_path, "epic-sounds-like")
+    assert main(["train", "--config", one_head]) == 0
+    run = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    two_heads = micro_preset(tmp_path, "epic-kitchens-like")  # also writes into run/
+    capsys.readouterr()
+    assert main(["eval", "--config", two_heads]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert {"config.json", "manifest.json"} <= set(before)
+
+
+@pytest.mark.parametrize("axis, grid", [("p", "x"), ("p", ","), ("fusion_layer", "0.5")])
+def test_sweep_with_a_bad_grid_creates_nothing(tmp_path, capsys, axis, grid):
+    out = tmp_path / "fresh"
+    path = write_cfg(tmp_path)
+    assert main(["sweep", "--config", path, "--out", str(out), "--axis", axis, "--grid", grid]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_eval_rejects_a_checkpoint_without_a_token_bank(tmp_path, capsys):
     path = write_cfg(tmp_path)
     assert main(["train", "--config", path]) == 0

@@ -183,6 +183,25 @@ def test_accuracy_is_order_invariant(setup):
     assert a["per_head"] == b["per_head"]
 
 
+@pytest.mark.parametrize("method", list(SubstitutionMethod), ids=lambda m: m.value)
+def test_a_dataset_built_from_the_raw_view_scores_the_same(setup, method):
+    # the shuffle above and the benchmark's warm-up subset both rebuild a
+    # dataset from ``raw``: the float64 view must tokenize to the same patches
+    ds, params, bank = setup
+    rebuilt = SynthDataset(ds.config, ds.seed, ds.split, ds.labels, ds.raw, ds.missing)
+    head = SynthDataset(
+        ds.config, ds.seed, ds.split, ds.labels[:7], {m: ds.raw[m][:7] for m in ds.raw}, ds.missing
+    )
+    for m in ("audio", "video"):
+        assert rebuilt.patches(m).tobytes() == ds.patches(m).tobytes()
+        assert head.patches(m).tobytes() == ds.patches(m)[:7].tobytes()
+    missing = {**no_missing(ds), "video": np.random.default_rng(8).uniform(size=len(ds)) < 0.4}
+    a = evaluate(params, bank, ds, missing, method)
+    b = evaluate(params, bank, rebuilt, missing, method)
+    assert a["per_head"] == b["per_head"]
+    np.testing.assert_array_equal(a["preds"], b["preds"])
+
+
 def test_zeros_and_mmt_substitution_give_different_logits(setup):
     # the zero-input image (projection bias) only matches the learned token
     # by coincidence, so the two methods disagree on a random model

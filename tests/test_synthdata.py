@@ -11,6 +11,7 @@ from mmtlab.errors import ConfigError
 from mmtlab.synthdata import (
     MODALITIES,
     SynthConfig,
+    _render,
     _template_matrix,
     bayes_accuracy_bound,
     expected_accuracy,
@@ -18,7 +19,7 @@ from mmtlab.synthdata import (
     template_match,
     templates,
 )
-from mmtlab.tokenizer import spectrogram_patches
+from mmtlab.tokenizer import spectrogram_patches, video_patches
 
 
 def small_config(**overrides) -> SynthConfig:
@@ -213,6 +214,66 @@ def test_patches_are_float32_and_raw_stays_float64():
     want = spectrogram_patches(ds.raw["audio"], cfg.audio).astype(np.float32)
     assert ds.patches("audio").dtype == ds.patches("video").dtype == np.float32
     np.testing.assert_array_equal(ds.patches("audio"), want)
+
+
+def _held_arrays(obj):
+    """Every ndarray reachable from ``obj`` through attributes, dicts and
+    sequences."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _held_arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _held_arrays(v)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_arrays(vars(obj))
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_a_dataset_holds_its_samples_once_as_float32_patches():
+    cfg = small_config(natural_missing={"audio": 0.25})
+    ds = generate(cfg, seed=9, n=12)
+    held = list(_held_arrays(ds))
+    floats = [a for a in held if a.dtype.kind == "f"]
+    assert sorted(map(id, floats)) == sorted(id(ds.patches(m)) for m in MODALITIES)
+    for a in held:
+        assert _owner(a).dtype != np.float64
+        assert _owner(a).nbytes == a.nbytes  # not a window into a larger buffer
+    assert ds.labels.dtype == np.int64
+    assert all(ds.missing[m].dtype == bool for m in MODALITIES)
+
+
+def test_raw_is_a_read_only_float64_view_of_the_patches():
+    cfg = small_config(natural_missing={"video": 0.5})
+    ds = generate(cfg, seed=10, n=6)
+    _, rendered = _render(cfg, 10, "train", np.arange(6))
+    assert list(ds.raw) == list(MODALITIES) and len(ds.raw) == 2
+    for m, tokenize in (("audio", spectrogram_patches), ("video", video_patches)):
+        raw = ds.raw[m]
+        assert raw.dtype == np.float64 and raw.shape == (6,) + cfg.raw_shape(m)
+        assert not raw.flags.writeable
+        assert ds.raw[m] is not raw  # rebuilt on every lookup
+        # re-tokenizing the view gives the stored patches bit for bit
+        again = tokenize(raw, getattr(cfg, m), dtype=np.float32)
+        assert again.tobytes() == ds.patches(m).tobytes()
+        # the float64 render rounded once to float32, zero where absent
+        want = np.where(
+            ds.missing[m].reshape((-1,) + (1,) * (raw.ndim - 1)), 0.0,
+            rendered[m].astype(np.float32).astype(np.float64),
+        )
+        assert raw.tobytes() == want.tobytes()
+    assert "text" not in ds.raw
+    with pytest.raises(TypeError):
+        ds.raw["audio"] = np.zeros((6,) + cfg.raw_shape("audio"))
+    with pytest.raises(ValueError):
+        ds.raw["audio"][0] = 1.0
 
 
 def test_config_validation():
