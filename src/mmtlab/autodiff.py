@@ -5,7 +5,9 @@ active, records itself so gradients can be replayed. Replaying the tape in
 reverse recording order is a reverse topological order by construction
 (an op's inputs always precede it), and gradients accumulate additively at
 fan-out nodes. Ops executed with no active tape compute values only, which
-is the inference path.
+is the inference path. Ops are this module's functions (``add(a, b)``,
+``linear(x, w, b)``); :class:`Tensor` has no arithmetic operators, so
+every step of a graph is a named call.
 
 Backward consumes the tape, as PyTorch frees a graph's buffers while its
 backward walks it: each node is unlinked from its inputs and its backward
@@ -119,6 +121,7 @@ class Tensor:
 
     A float32 or float64 ndarray keeps its dtype (and is not copied);
     anything else (Python numbers, lists, other dtypes) becomes float64.
+    It has no arithmetic operators: the module's functions are the ops.
     """
 
     __slots__ = ("data", "grad", "inputs", "_backward")
@@ -135,13 +138,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -164,41 +160,8 @@ class Tensor:
         else:
             self.accumulate(g)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-    # operator sugar; scalars and ndarrays are wrapped as constants in self's dtype
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    """A constant operand, in ``like``'s dtype."""
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _zeros(t: Tensor) -> np.ndarray:
@@ -285,38 +248,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
     def backward(g):
         a.accumulate_owned(g * s)
-
-    out._backward = backward
-    return _record(out)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y, (a,))
-
-    def backward(g):
-        a.accumulate_owned(g * y)
-
-    out._backward = backward
-    return _record(out)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), (a,))
-
-    def backward(g):
-        a.accumulate_owned(g / a.data)
-
-    out._backward = backward
-    return _record(out)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y, (a,))
-
-    def backward(g):
-        a.accumulate_owned(g * (1.0 - y * y))
 
     out._backward = backward
     return _record(out)

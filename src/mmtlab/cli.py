@@ -50,13 +50,16 @@ SWEEP_AXES = ("p", "fusion_layer", "r_train")
 
 
 def _resolve(args) -> RunConfig:
+    """The command's config, loaded and checked against the generator."""
     source = args.config
     if source is None:
         raise ConfigError("--config is required (a JSON file or a preset name)")
     if not os.path.exists(source):
         source = preset_path(source)
     overrides = {"seed": getattr(args, "seed", None), "out": getattr(args, "out", None)}
-    return load_run_config(source, overrides)
+    cfg = load_run_config(source, overrides)
+    check_data_compat(cfg)
+    return cfg
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -154,7 +157,6 @@ def _score_cell(
 
 def cmd_pretrain(args) -> int:
     cfg = _resolve(args)
-    check_data_compat(cfg)
     out = _prepare_out(cfg)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
     params = MbtParameters.init(cfg.model, cfg.seed)
@@ -169,7 +171,6 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
-    check_data_compat(cfg)
     out = _prepare_out(cfg)
     _train_one(cfg, out, args.checkpoint)
     _write_run_manifest(out, "train")
@@ -178,10 +179,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    check_data_compat(cfg)
     method = SubstitutionMethod.parse(args.method or cfg.eval.method)
     rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval.rates)
-    check_feasible_rates(cfg, "--rtest", rates, cfg.data.n_test)
+    fractions = [r / 100.0 for r in rates]
+    check_feasible_rates(cfg, "--rtest", cfg.eval.missing, fractions, cfg.data.n_test)
     params, bank = _load_finetune(cfg, args.checkpoint or str(Path(cfg.out) / "model.ckpt"))
     out = _prepare_out(cfg)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
@@ -239,15 +240,14 @@ def _ensure_cell_model(out: str, cfg: RunConfig, axis: str, value: float, seed: 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    check_data_compat(cfg)
     axis = args.axis
     grid = _parse_rates(args.grid)
     if not grid:
         raise ConfigError("--grid must list at least one value")
-    for value in grid:  # reject a bad grid before anything is written
+    # reject a bad grid before anything is written; an r_train value is
+    # checked for feasibility as the cell's config loads
+    for value in grid:
         _apply_axis(cfg, axis, value)
-    if axis == "r_train":
-        check_feasible_rates(cfg, "--grid", grid, cfg.data.n_train)
     method = SubstitutionMethod.parse(cfg.eval.method)
     out = _prepare_out(cfg)
 

@@ -13,8 +13,8 @@ it applies to sweep cells and checkpoint headers:
 * a ``dict`` field (``replace_probs``, ``gains``, ...) is data: a given
   dict replaces its default whole, and its values are type-checked;
 * values of the right type that break an invariant (a negative rate, an
-  infeasible eval rate, ...) fail in the section's ``__post_init__`` with
-  a ConfigError.
+  infeasible eval or induced rate, a mask ratio that hides no token, ...)
+  fail in a ``__post_init__`` with a ConfigError.
 
 So an impossible request fails when the config loads. Every command
 writes the fully resolved config (``dataclasses.asdict``) next to its
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .errors import ConfigError
-from .mae import MaeConfig
+from .mae import MaeConfig, mask_count
 from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
 from .schema import decode
@@ -84,7 +84,15 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("need at least one sweep seed")
-        check_feasible_rates(self, "eval.rates", self.eval.rates, self.data.n_test)
+        eval_rates = [r / 100.0 for r in self.eval.rates]
+        check_feasible_rates(self, "eval.rates", self.eval.missing, eval_rates, self.data.n_test)
+        for m, rate in self.train.induced_missing.items():
+            check_feasible_rates(self, f"train.induced_missing.{m}", m, [rate], self.data.n_train)
+        for m in MODALITIES:
+            try:
+                mask_count(self.mae.mask_ratio(m), self.model.tokens(m))
+            except ConfigError as e:
+                raise ConfigError(f"mae.mask_ratio_{m}: {e}") from None
 
     def save(self, path: str) -> None:
         with open(path, "w") as f:
@@ -92,22 +100,22 @@ class RunConfig:
             f.write("\n")
 
 
-def check_feasible_rates(cfg: RunConfig, what: str, rates_pct, n: int) -> None:
-    """Reject percent rates of ``eval.missing`` below its natural rate.
+def check_feasible_rates(cfg: RunConfig, what: str, modality: str, rates, n: int) -> None:
+    """Reject missing fractions of ``modality`` below its natural rate.
 
-    Counts through :func:`mmtlab.synthdata.missing_count`, as the generator
-    and the schedules do: the samples absent in the data already are a
-    floor that no schedule can restore.
+    ``rates`` are fractions; a percent rate r is scored as r / 100. Counts
+    through :func:`mmtlab.synthdata.missing_count`, as the generator and
+    the schedules do: the samples absent in the data already are a floor
+    that no schedule can restore.
     """
-    missing = cfg.eval.missing
-    natural = cfg.synth.natural_missing.get(missing, 0.0)
+    natural = cfg.synth.natural_missing.get(modality, 0.0)
     floor = missing_count(natural, n)
-    for r in rates_pct:
-        count = missing_count(r / 100.0, n)
+    for r in rates:
+        count = missing_count(r, n)
         if count < floor:
             raise ConfigError(
-                f"{what}: {r:g}% of {n} samples is {count}, below the "
-                f"{floor} with {missing} naturally absent ({natural:.0%}); "
+                f"{what}: {100 * r:g}% of {n} samples is {count}, below the "
+                f"{floor} with {modality} naturally absent ({natural:.0%}); "
                 f"rates must start at the natural rate"
             )
 

@@ -7,6 +7,10 @@ positional embeddings and reconstructs raw patch values. The loss is
 mean squared error over masked positions only, so reconstructions at
 visible positions receive exactly zero gradient.
 
+The encoder input is the classifier's own: :func:`mmtlab.model.embed_content`
+and :func:`mmtlab.model.with_cls_and_pos`, given the visible token ids, so
+a token is embedded and placed in pretraining as it is at fine-tuning.
+
 The mask token here is a pretraining placeholder appended after
 encoding; it is a different parameter from the substitution token used
 at fine-tuning time, which replaces content before encoding.
@@ -27,6 +31,7 @@ from .model import (
     ModelConfig,
     ParamSet,
     decode_header,
+    embed_content,
     encode_sequences,
     init_block,
     load_checkpoint,
@@ -34,6 +39,7 @@ from .model import (
     ones,
     run_block,
     save_checkpoint,
+    with_cls_and_pos,
     zeros,
 )
 from .optim import FitResult, check_fit_settings, fit
@@ -89,8 +95,9 @@ class MaeConfig:
 # masking
 
 
-def mask_batch(batch: int, n: int, ratio: float, rng: np.random.Generator):
-    """Per-sample masking: (batch, n-k) visible and (batch, k) masked indices."""
+def mask_count(ratio: float, n: int) -> int:
+    """How many of ``n`` tokens a mask ratio hides: ``int(ratio * n)``,
+    which must leave at least one token masked and one visible."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"mask ratio {ratio} outside (0, 1)")
     k = int(ratio * n)
@@ -98,6 +105,13 @@ def mask_batch(batch: int, n: int, ratio: float, rng: np.random.Generator):
         raise ConfigError(
             f"mask ratio {ratio} on {n} tokens leaves {'nothing masked' if k == 0 else 'nothing visible'}"
         )
+    return k
+
+
+def mask_batch(batch: int, n: int, ratio: float, rng: np.random.Generator):
+    """Per-sample masking: (batch, n-k) visible and (batch, k) masked indices,
+    with k from :func:`mask_count`."""
+    k = mask_count(ratio, n)
     # argsort of iid uniforms is a uniform permutation, vectorized per row
     order = np.argsort(rng.random((batch, n)), axis=1)
     return np.sort(order[:, k:], axis=1), np.sort(order[:, :k], axis=1)
@@ -173,32 +187,14 @@ def mae_forward(
     present = [m for m in MODALITIES if m in patches]
     if not present:
         raise ConfigError("mae_forward needs at least one modality")
-    d = mcfg.embed_dim
     batch = patches[present[0]].shape[0]
     batch_ix = np.arange(batch)[:, None]
-    dtype = params["z"].data.dtype  # inputs and targets take the parameters' dtype
+    dtype = params["z"].data.dtype  # targets take the parameters' dtype
 
     seqs = {}
     for m in present:
-        n = mcfg.tokens(m)
         vis, _ = masks[m]
-        pos = ad.broadcast_to(
-            ad.reshape(params[f"{m}.pos"], (1, n + 1, d)), (batch, n + 1, d)
-        )
-        cls = ad.broadcast_to(ad.reshape(params[f"{m}.cls"], (1, 1, d)), (batch, 1, d))
-        content = ad.linear(
-            Tensor(patches[m][batch_ix, vis].astype(dtype, copy=False)),
-            params[f"{m}.embed.w"],
-            params[f"{m}.embed.b"],
-        )
-        # visible tokens keep their original positional rows (+1 skips CLS)
-        seqs[m] = ad.concat(
-            [
-                ad.add(cls, ad.narrow(pos, 1, 0, 1)),
-                ad.add(content, ad.gather_rows(pos, vis + 1)),
-            ],
-            axis=1,
-        )
+        seqs[m] = with_cls_and_pos(params, m, embed_content(params, m, patches[m], vis), vis)
     feats = encode_sequences(params, seqs)
 
     recons: dict[str, Tensor] = {}
@@ -232,23 +228,19 @@ def mae_step(
     dec: MaeDecoders,
     cfg: MaeConfig,
     patches: dict[str, np.ndarray],
-    rng: np.random.Generator | None = None,
-    masks: dict | None = None,
+    rng: np.random.Generator,
 ):
-    """One reconstruction loss over a batch; masks drawn here unless given.
+    """One reconstruction loss over a batch, with masks drawn from ``rng``.
 
     Masking is independent per modality. Returns the total loss tensor
     (sum over modalities) and the per-modality loss values.
     """
     present = [m for m in MODALITIES if m in patches]
-    if masks is None:
-        if rng is None:
-            raise ConfigError("mae_step needs an rng when masks are not given")
-        batch = patches[present[0]].shape[0]
-        masks = {
-            m: mask_batch(batch, params.config.tokens(m), cfg.mask_ratio(m), rng)
-            for m in present
-        }
+    batch = patches[present[0]].shape[0]
+    masks = {
+        m: mask_batch(batch, params.config.tokens(m), cfg.mask_ratio(m), rng)
+        for m in present
+    }
     _, losses = mae_forward(params, dec, cfg, patches, masks)
     total = None
     for m in present:

@@ -65,9 +65,9 @@ class MmtBank(ParamSet):
             raise ConfigError(f"no substitution token for modality {modality!r}") from None
 
     @classmethod
-    def init(cls, dim: int, seed: int, modalities=MODALITIES) -> "MmtBank":
+    def init(cls, dim: int, seed: int) -> "MmtBank":
         normal = normal_init(Stream(seed, "mmt-init").numpy_rng())
-        return cls(dim, {f"mmt.{m}": normal(dim) for m in modalities})
+        return cls(dim, {f"mmt.{m}": normal(dim) for m in MODALITIES})
 
 
 def replace_with_mmt(

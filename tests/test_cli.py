@@ -202,7 +202,7 @@ def test_config_accepts_exactly_the_rates_a_schedule_can_honour(natural):
         schedule = build_schedule(natural_mask, 3, "test-missing")
         for r in rates:
             want = accepts(schedule.mask_at, r / 100.0)
-            assert accepts(check_feasible_rates, cfg, "rates", [r], n) == want, (n, r)
+            assert accepts(check_feasible_rates, cfg, "rates", "video", [r / 100.0], n) == want, (n, r)
 
 
 def test_geometry_mismatch_is_caught_before_running():
@@ -354,8 +354,37 @@ def test_infeasible_r_train_grid_fails_before_training(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "ConfigError"
-    assert "--grid: 20% of 64 samples" in record["message"]
+    assert "train.induced_missing.video: 20% of 64 samples" in record["message"]
     assert not (out / "cells").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sections, field",
+    [
+        # 5% of 64 is 3 samples, below the 12 already absent at 20%
+        (
+            "train",
+            {"synth": {"natural_missing": {"audio": 0.2}}, "train": {"induced_missing": {"audio": 0.05}}},
+            "train.induced_missing.audio",
+        ),
+        # 20% of 4 audio tokens masks none
+        ("pretrain", {"mae": {"mask_ratio_audio": 0.2}}, "mae.mask_ratio_audio"),
+    ],
+)
+def test_impossible_requests_fail_at_load_before_anything_is_written(
+    tmp_path, capsys, command, sections, field
+):
+    out = tmp_path / "run"
+    cfg = micro_cfg_dict(str(out))
+    for section, values in sections.items():
+        cfg[section] = {**cfg[section], **values}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(field)
+    assert not out.exists()
 
 
 def test_sweep_rejects_fractional_fusion_layers(tmp_path, capsys):

@@ -194,8 +194,6 @@ def test_mae_step_draws_masks_and_sums_modalities():
     patches = {m: ds.patches(m)[:4] for m in ("audio", "video")}
     total, per = mae_step(params, dec, acfg, patches, rng=rng)
     np.testing.assert_allclose(float(total.data), per["audio"] + per["video"], rtol=1e-12)
-    with pytest.raises(ConfigError):
-        mae_step(params, dec, acfg, patches)  # no rng and no masks
 
 
 def test_mask_token_is_not_the_substitution_token():

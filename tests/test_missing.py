@@ -65,9 +65,9 @@ def test_replace_mask_shape_checked():
 
 
 def test_unknown_modality_rejected():
-    bank = MmtBank.init(8, seed=1, modalities=("audio",))
+    bank = MmtBank.init(8, seed=1)
     with pytest.raises(ConfigError):
-        bank["video"]
+        bank["depth"]
 
 
 def test_gradients_respect_the_swap():
@@ -93,7 +93,7 @@ def mmt_gradient_mask_check(batch: int = 6, tokens: int = 5, dim: int = 8, seed:
     zero: substitution is a hard swap, not an interpolation.
     """
     rng = np.random.default_rng(seed)
-    bank = MmtBank.init(dim, seed=seed, modalities=("audio",))
+    bank = MmtBank.init(dim, seed=seed)
     replace = np.zeros(batch, dtype=bool)
     replace[:: 2] = True
 
@@ -104,7 +104,7 @@ def mmt_gradient_mask_check(batch: int = 6, tokens: int = 5, dim: int = 8, seed:
         tape.backward(loss)
     leak_content = float(np.abs(content.grad[replace]).max())
 
-    bank2 = MmtBank.init(dim, seed=seed, modalities=("audio",))
+    bank2 = MmtBank.init(dim, seed=seed)
     content2 = Tensor(rng.standard_normal((batch, tokens, dim)))
     with Tape() as tape:
         out = replace_with_mmt(bank2, "audio", content2, np.zeros(batch, dtype=bool))
