@@ -14,8 +14,7 @@ from mmtlab.tokenizer import (
     SpectrogramGeometry,
     VideoGeometry,
     spectrogram_patches,
-    unpatch_spectrogram,
-    unpatch_video,
+    unpatch,
     video_patches,
 )
 
@@ -42,8 +41,8 @@ clip = rng.normal(size=(2, v.frames, v.height, v.width))
 spec_tokens = spectrogram_patches(spec, a)
 clip_tokens = video_patches(clip, v)
 print(f"patch tensors: audio {spec_tokens.shape}, video {clip_tokens.shape}")
-assert np.array_equal(unpatch_spectrogram(spec_tokens, a), spec)
-assert np.array_equal(unpatch_video(clip_tokens, v), clip)
+assert np.array_equal(unpatch(spec_tokens, a), spec)
+assert np.array_equal(unpatch(clip_tokens, v), clip)
 print("unpatch(patch(x)) == x for both modalities")
 
 # --- token order is row-major over the patch grid ------------------------

@@ -12,8 +12,8 @@ import numpy as np
 
 from mmtlab.missing import MmtBank, SubstitutionMethod
 from mmtlab.model import MbtParameters, ModelConfig
-from mmtlab.protocol import build_schedule, evaluate, make_test_variants
-from mmtlab.synthdata import SynthConfig, generate
+from mmtlab.protocol import evaluate, make_test_variants
+from mmtlab.synthdata import SynthConfig, build_schedule, generate
 from mmtlab.training import TrainConfig, train
 
 scfg = SynthConfig()

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .config import RunConfig, check_data_compat, check_feasible_rates, load_run_config, preset_path
+from .config import RunConfig, check_data_compat, load_run_config, preset_path
 from .errors import CheckpointError, ConfigError, MmtlabError, SchemaError
 from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, transfer_encoder
 from .missing import MmtBank, SubstitutionMethod
@@ -179,16 +179,18 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    method = SubstitutionMethod.parse(args.method or cfg.eval.method)
-    rates = _parse_rates(args.rtest) if args.rtest else list(cfg.eval.rates)
-    fractions = [r / 100.0 for r in rates]
-    check_feasible_rates(cfg, "--rtest", cfg.eval.missing, fractions, cfg.data.n_test)
+    # the flags pass EvalConfig's and RunConfig's checks, as the file's values did
+    if args.method is not None:
+        cfg = replace(cfg, eval=replace(cfg.eval, method=args.method))
+    if args.rtest is not None:
+        cfg = replace(cfg, eval=replace(cfg.eval, rates=tuple(_parse_rates(args.rtest))))
+    method = SubstitutionMethod.parse(cfg.eval.method)
     params, bank = _load_finetune(cfg, args.checkpoint or str(Path(cfg.out) / "model.ckpt"))
     out = _prepare_out(cfg)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     cells = [
         {"method": method.value, "r_test": r, "seed": cfg.seed, "heads": params.config.head_names}
-        for r in rates
+        for r in cfg.eval.rates
     ]
     metrics_path = out / "metrics.csv"
     table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
@@ -244,8 +246,8 @@ def cmd_sweep(args) -> int:
     grid = _parse_rates(args.grid)
     if not grid:
         raise ConfigError("--grid must list at least one value")
-    # reject a bad grid before anything is written; an r_train value is
-    # checked for feasibility as the cell's config loads
+    # reject a bad grid before anything is written: _apply_axis builds each
+    # cell's config, whose RunConfig checks an r_train value's feasibility
     for value in grid:
         _apply_axis(cfg, axis, value)
     method = SubstitutionMethod.parse(cfg.eval.method)

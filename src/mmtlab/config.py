@@ -33,6 +33,7 @@ from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
 from .schema import decode
 from .synthdata import SynthConfig, missing_count
+from .tokenizer import geometry
 from .training import TrainConfig
 
 
@@ -141,11 +142,11 @@ def load_run_config(source, overrides: dict | None = None) -> RunConfig:
 
 def check_data_compat(cfg: RunConfig) -> None:
     """Commands that touch data need model and generator geometry to agree."""
-    problems = []
-    if cfg.model.audio != cfg.synth.audio:
-        problems.append("audio geometry differs between model and synth")
-    if cfg.model.video != cfg.synth.video:
-        problems.append("video geometry differs between model and synth")
+    problems = [
+        f"{m} geometry differs between model and synth"
+        for m in MODALITIES
+        if geometry(cfg.model, m) != geometry(cfg.synth, m)
+    ]
     if cfg.model.n_classes != cfg.synth.n_classes:
         problems.append("n_classes differs between model and synth")
     if problems:

@@ -53,10 +53,10 @@ _DEC_MLP_RATIO = 4
 class MaeConfig:
     """Masking and decoder settings for one pretraining run.
 
-    Defaults are desk scale; the reference-scale decoder (depth 4, 16
-    heads, dim 512) stays expressible through the same fields. Mask
-    ratios are asymmetric because the denser modality tolerates heavier
-    masking.
+    Defaults are desk scale. A full-size decoder (depth 4, 16 heads, dim
+    512) is expressible through the same fields, and the tests parse one,
+    but no shipped preset runs it. Mask ratios are asymmetric because the
+    denser modality tolerates heavier masking.
     """
 
     mask_ratio_audio: float = 0.70
@@ -71,10 +71,10 @@ class MaeConfig:
     warmup_frac: float = 0.1
 
     def __post_init__(self):
-        for name in ("mask_ratio_audio", "mask_ratio_video"):
-            r = getattr(self, name)
+        for m in MODALITIES:
+            r = self.mask_ratio(m)
             if not 0.0 < r < 1.0:
-                raise ConfigError(f"{name} = {r} outside (0, 1)")
+                raise ConfigError(f"mask_ratio_{m} = {r} outside (0, 1)")
         if self.decoder_depth < 1 or self.decoder_heads < 1 or self.decoder_dim < 1:
             raise ConfigError("decoder_depth, decoder_heads, decoder_dim must be positive")
         if self.decoder_dim % self.decoder_heads:
@@ -84,11 +84,9 @@ class MaeConfig:
         check_fit_settings(self)
 
     def mask_ratio(self, modality: str) -> float:
-        if modality == "audio":
-            return self.mask_ratio_audio
-        if modality == "video":
-            return self.mask_ratio_video
-        raise ConfigError(f"no mask ratio for modality {modality!r}")
+        if modality not in MODALITIES:
+            raise ConfigError(f"no mask ratio for modality {modality!r}")
+        return getattr(self, f"mask_ratio_{modality}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .model import MODALITIES, MbtParameters, ParamSet, embed_content, normal_init
 from .rng import Stream
+from .synthdata import complete
 
 
 class SubstitutionMethod(enum.Enum):
@@ -190,10 +191,10 @@ def random_replace(
     names = [m for m in MODALITIES if m in natural_missing]
     masks = {m: np.asarray(natural_missing[m], dtype=bool).copy() for m in names}
     n = len(masks[names[0]])
-    complete = ~np.logical_or.reduce([masks[m] for m in names])
+    whole = complete(masks)
     ordered = [m for m in names if probs.get(m, 0.0) > 0.0]
     for i in range(n):
-        if not complete[i]:
+        if not whole[i]:
             continue
         u = stream.uniform()
         lo = 0.0

@@ -34,7 +34,14 @@ from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, DimensionError, SchemaError
 from .rng import Stream
 from .schema import decode
-from .tokenizer import DESK_AUDIO, DESK_VIDEO, MODALITIES, SpectrogramGeometry, VideoGeometry
+from .tokenizer import (
+    DESK_AUDIO,
+    DESK_VIDEO,
+    MODALITIES,
+    SpectrogramGeometry,
+    VideoGeometry,
+    geometry,
+)
 
 ARCHS = ("bottleneck", "full_sa", "unimodal:audio", "unimodal:video")
 
@@ -84,17 +91,10 @@ class ModelConfig:
         return MODALITIES
 
     def tokens(self, modality: str) -> int:
-        return self.geometry(modality).tokens
+        return geometry(self, modality).tokens
 
     def patch_dim(self, modality: str) -> int:
-        return self.geometry(modality).patch_dim
-
-    def geometry(self, modality: str):
-        if modality == "audio":
-            return self.audio
-        if modality == "video":
-            return self.video
-        raise ConfigError(f"unknown modality {modality!r}")
+        return geometry(self, modality).patch_dim
 
 
 _DECAY_SUFFIXES = (".w", ".w1", ".w2", ".wqkv", ".wo")

@@ -1,11 +1,7 @@
-"""Missingness bookkeeping: schedules, test variants, weighting, metrics.
+"""Evaluation bookkeeping: test variants, weighting, metrics.
 
-Missingness is always *cumulative*: a schedule orders sample ids with the
-naturally incomplete ones first and the complete ones behind them in a
-seeded shuffle, and the missing set at rate r is the first floor(r*N) ids.
-Raising r only ever extends the set, so results at different rates are
-comparable on shared samples, and a rate below the natural fraction is
-impossible to honor (absent data cannot be restored).
+Test variants are :func:`mmtlab.synthdata.build_schedule`'s cumulative
+missing sets on the split seed's "test-missing" stream.
 
 Evaluation applies a substitution method to the flagged samples on the fly,
 through :func:`mmtlab.missing.substitute`, the one place training uses
@@ -18,62 +14,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InfeasibleRateError
+from .errors import ConfigError, DataError
 from .missing import MmtBank, SubstitutionMethod, substitute, substitute_skip
 from .model import MODALITIES, MbtParameters, forward
-from .rng import Stream
-from .synthdata import SynthDataset, missing_count
+from .synthdata import SynthDataset, build_schedule
 
 log = logging.getLogger("mmtlab")
 
 
 # ---------------------------------------------------------------------------
-# schedules
-
-
-@dataclass(frozen=True)
-class MissingnessSchedule:
-    """Cumulative missing-set order for one modality of one split."""
-
-    order: np.ndarray  # every sample id: natural incompletes, then shuffled
-    natural_count: int
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    @property
-    def natural_rate(self) -> float:
-        return self.natural_count / self.n
-
-    def count_at(self, rate: float) -> int:
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigError(f"rate {rate} outside [0, 1]")
-        count = missing_count(rate, self.n)
-        if count < self.natural_count:
-            raise InfeasibleRateError(rate, self.natural_rate)
-        return count
-
-    def mask_at(self, rate: float) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.order[: self.count_at(rate)]] = True
-        return mask
-
-
-def build_schedule(
-    natural_missing: np.ndarray, seed: int, stream: str
-) -> MissingnessSchedule:
-    """Order ids for cumulative missingness under a named shuffle stream."""
-    natural_missing = np.asarray(natural_missing, dtype=bool)
-    natural = np.flatnonzero(natural_missing)
-    complete = np.flatnonzero(~natural_missing).tolist()
-    Stream(seed, stream).shuffle(complete)
-    order = np.concatenate([natural, np.asarray(complete, dtype=np.int64)])
-    return MissingnessSchedule(order.astype(np.int64), len(natural))
+# test variants
 
 
 def make_test_variants(

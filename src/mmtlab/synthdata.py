@@ -28,6 +28,12 @@ samples regenerates identically regardless of chunking or order.
 A split is rendered in float64 and freed once tokenized: a dataset stores
 only the float32 patches the model reads, one copy per modality, and
 rebuilds the float64 ``raw`` view from them when asked.
+
+One rule says which samples miss a modality at rate r, for natural
+absences, training schedules and test variants alike: a schedule orders
+the naturally incomplete ids first and the rest in a seeded shuffle, and
+the first :func:`missing_count` ids are missing. So raising r only extends
+the set, and a rate below the natural fraction cannot be honored.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleRateError
 from .rng import Stream, sample_rng
 from .tokenizer import (
     DESK_AUDIO,
@@ -48,9 +54,9 @@ from .tokenizer import (
     MODALITIES,
     SpectrogramGeometry,
     VideoGeometry,
+    geometry,
     spectrogram_patches,
-    unpatch_spectrogram,
-    unpatch_video,
+    unpatch,
     video_patches,
 )
 
@@ -93,20 +99,15 @@ class SynthConfig:
                 raise ConfigError(f"{m} raw size {self.raw_size(m)} is not a power of two")
 
     def raw_shape(self, modality: str) -> tuple[int, ...]:
-        if modality == "audio":
-            return (self.audio.bins, self.audio.frames)
-        if modality == "video":
-            return (self.video.frames, self.video.height, self.video.width)
-        raise ConfigError(f"unknown modality {modality!r}")
+        return geometry(self, modality).shape
 
     def raw_size(self, modality: str) -> int:
-        return int(np.prod(self.raw_shape(modality)))
+        return math.prod(self.raw_shape(modality))
 
     def separation(self, subset: tuple[str, ...], head: int) -> float:
         """Matched-filter separation d for one head given observed modalities."""
         total = sum(self.gains[m][head] ** 2 for m in subset)
         return float(np.sqrt(total) / self.noise_sigma)
-
 
 
 @lru_cache(maxsize=8)
@@ -190,10 +191,7 @@ class SynthDataset:
         return _RawView(self)
 
     def complete_mask(self) -> np.ndarray:
-        out = np.ones(len(self), dtype=bool)
-        for m in MODALITIES:
-            out &= ~self.missing[m]
-        return out
+        return complete(self.missing)
 
 
 class _RawView(Mapping):
@@ -204,12 +202,10 @@ class _RawView(Mapping):
         self._ds = ds
 
     def __getitem__(self, modality: str) -> np.ndarray:
-        if modality == "audio":
-            x = unpatch_spectrogram(self._ds.patches("audio"), self._ds.config.audio, np.float64)
-        elif modality == "video":
-            x = unpatch_video(self._ds.patches("video"), self._ds.config.video, np.float64)
-        else:
-            raise KeyError(modality)
+        if modality not in MODALITIES:
+            raise KeyError(modality)  # what ``in`` and ``get`` expect of a Mapping
+        geom = geometry(self._ds.config, modality)
+        x = unpatch(self._ds.patches(modality), geom, np.float64)
         x.setflags(write=False)
         return x
 
@@ -246,16 +242,51 @@ def missing_count(rate: float, n: int) -> int:
     return int(rate * n)
 
 
+def complete(masks: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The samples absent from nothing: flagged in none of ``masks``."""
+    return ~np.logical_or.reduce([np.asarray(mask, dtype=bool) for mask in masks.values()])
+
+
+@dataclass(frozen=True)
+class MissingnessSchedule:
+    """Cumulative missing-set order for one modality of one split."""
+
+    order: np.ndarray  # every sample id: natural incompletes, then shuffled
+    natural_count: int
+
+    def mask_at(self, rate: float) -> np.ndarray:
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"rate {rate} outside [0, 1]")
+        n = len(self.order)
+        count = missing_count(rate, n)
+        if count < self.natural_count:
+            raise InfeasibleRateError(rate, self.natural_count / n)
+        mask = np.zeros(n, dtype=bool)
+        mask[self.order[:count]] = True
+        return mask
+
+
+def build_schedule(natural_missing: np.ndarray, seed: int, stream: str) -> MissingnessSchedule:
+    """Order ids for cumulative missingness under a named shuffle stream."""
+    natural_missing = np.asarray(natural_missing, dtype=bool)
+    natural = np.flatnonzero(natural_missing)
+    rest = np.flatnonzero(~natural_missing).tolist()
+    Stream(seed, stream).shuffle(rest)
+    order = np.concatenate([natural, np.asarray(rest, dtype=np.int64)])
+    return MissingnessSchedule(order.astype(np.int64), len(natural))
+
+
 def _natural_masks(config: SynthConfig, seed: int, split: str, n: int) -> dict:
+    """Each modality's natural absences: the prefix at its natural rate of a
+    schedule over the split with nothing absent yet."""
+    nothing = np.zeros(n, dtype=bool)
     missing = {}
     for m in MODALITIES:
-        mask = np.zeros(n, dtype=bool)
         rate = config.natural_missing.get(m, 0.0)
         if rate > 0:
-            ids = list(range(n))
-            Stream(seed, f"natural-missing/{split}/{m}").shuffle(ids)
-            mask[ids[: missing_count(rate, n)]] = True
-        missing[m] = mask
+            missing[m] = build_schedule(nothing, seed, f"natural-missing/{split}/{m}").mask_at(rate)
+        else:
+            missing[m] = nothing.copy()
     return missing
 
 

@@ -1,16 +1,20 @@
 """Patch tokenization for spectrogram and video inputs.
 
-Raw inputs are cut into non-overlapping patches and flattened in a fixed
-(row-major) order; :func:`mmtlab.model.embed_content` projects them to the
-embedding dimension.
-Token counts are pure arithmetic on the input geometry, so the same code
+A spectrogram patch and a video tubelet are the same cut in two and in
+three dimensions: a geometry gives its raw axes (``shape``) and the patch
+size on each (``patch``), and one routine cuts the raw array into
+non-overlapping patches, flattened in a fixed (row-major) order;
+:func:`mmtlab.model.embed_content` projects them to the embedding dimension.
+Token counts are pure arithmetic on the geometry, so the same code
 answers both the desk-scale defaults and full-scale sanity checks such as
 a 128-bin, 8-second spectrogram at 100 frames per second yielding
-128*800/256 = 400 tokens.
+128*800/256 = 400 tokens. :func:`geometry` picks a config's geometry by
+modality name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +24,33 @@ from .errors import ConfigError, DimensionError
 MODALITIES = ("audio", "video")
 
 
+class _Geometry:
+    """Grid arithmetic shared by the geometries, from ``shape`` and ``patch``."""
+
+    shape: tuple[int, ...]
+    patch: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(dim % p for dim, p in zip(self.shape, self.patch)):
+            raise ConfigError(
+                f"{type(self).__name__} shape {self.shape} not divisible by patch {self.patch}"
+            )
+
+    @property
+    def grid(self) -> tuple[int, ...]:
+        return tuple(dim // p for dim, p in zip(self.shape, self.patch))
+
+    @property
+    def tokens(self) -> int:
+        return math.prod(self.grid)
+
+    @property
+    def patch_dim(self) -> int:
+        return math.prod(self.patch)
+
+
 @dataclass(frozen=True)
-class SpectrogramGeometry:
+class SpectrogramGeometry(_Geometry):
     """Mel-spectrogram treated as a (bins, frames) single-channel image."""
 
     bins: int
@@ -29,26 +58,13 @@ class SpectrogramGeometry:
     patch_bins: int
     patch_frames: int
 
-    def __post_init__(self):
-        if self.bins % self.patch_bins != 0:
-            raise ConfigError(f"{self.bins} bins not divisible by patch height {self.patch_bins}")
-        if self.frames % self.patch_frames != 0:
-            raise ConfigError(
-                f"{self.frames} frames not divisible by patch width {self.patch_frames}"
-            )
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.bins, self.frames)
 
     @property
-    def grid(self) -> tuple[int, int]:
-        return (self.bins // self.patch_bins, self.frames // self.patch_frames)
-
-    @property
-    def tokens(self) -> int:
-        rows, cols = self.grid
-        return rows * cols
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_bins * self.patch_frames
+    def patch(self) -> tuple[int, int]:
+        return (self.patch_bins, self.patch_frames)
 
     @classmethod
     def from_audio(cls, bins: int, fps: float, seconds: float, patch_bins: int, patch_frames: int):
@@ -59,7 +75,7 @@ class SpectrogramGeometry:
 
 
 @dataclass(frozen=True)
-class VideoGeometry:
+class VideoGeometry(_Geometry):
     """Clip of ``frames`` grayscale images cut into tubelets.
 
     A tubelet spans patch_t consecutive frames and a patch_h x patch_w
@@ -74,31 +90,13 @@ class VideoGeometry:
     patch_h: int
     patch_w: int
 
-    def __post_init__(self):
-        for dim, patch, label in (
-            (self.frames, self.patch_t, "frames"),
-            (self.height, self.patch_h, "height"),
-            (self.width, self.patch_w, "width"),
-        ):
-            if dim % patch != 0:
-                raise ConfigError(f"video {label} {dim} not divisible by patch {patch}")
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.frames, self.height, self.width)
 
     @property
-    def grid(self) -> tuple[int, int, int]:
-        return (
-            self.frames // self.patch_t,
-            self.height // self.patch_h,
-            self.width // self.patch_w,
-        )
-
-    @property
-    def tokens(self) -> int:
-        t, h, w = self.grid
-        return t * h * w
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_t * self.patch_h * self.patch_w
+    def patch(self) -> tuple[int, int, int]:
+        return (self.patch_t, self.patch_h, self.patch_w)
 
 
 # the desk-scale geometry the generator and the model default to
@@ -106,50 +104,44 @@ DESK_AUDIO = SpectrogramGeometry(bins=16, frames=64, patch_bins=8, patch_frames=
 DESK_VIDEO = VideoGeometry(frames=4, height=32, width=32, patch_t=2, patch_h=8, patch_w=8)
 
 
-def spectrogram_patches(x: np.ndarray, geom: SpectrogramGeometry, dtype=None) -> np.ndarray:
-    """(batch, bins, frames) -> (batch, tokens, patch_dim), row-major grid.
+def geometry(cfg, modality: str) -> _Geometry:
+    """The geometry of ``modality`` in a model or generator config, which
+    hold one geometry field per modality, named after it."""
+    if modality not in MODALITIES:
+        raise ConfigError(f"unknown modality {modality!r}")
+    return getattr(cfg, modality)
 
-    The result is in ``dtype`` (default: ``x``'s), cast while the patches
-    are gathered, so no full-size copy in ``x``'s dtype is made on the way.
-    """
-    if x.ndim != 3 or x.shape[1] != geom.bins or x.shape[2] != geom.frames:
-        raise DimensionError(
-            f"expected (batch, {geom.bins}, {geom.frames}) spectrograms, got {x.shape}"
-        )
-    b = x.shape[0]
-    rows, cols = geom.grid
-    x = x.reshape(b, rows, geom.patch_bins, cols, geom.patch_frames)
-    x = np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4), dtype=dtype)
-    return x.reshape(b, rows * cols, geom.patch_dim)
+
+def _cut(x: np.ndarray, geom: _Geometry, dtype) -> np.ndarray:
+    """(batch, *shape) -> (batch, tokens, patch_dim) in ``dtype`` (default:
+    ``x``'s), cast while the patches are gathered, so no full-size copy in
+    ``x``'s dtype is made on the way."""
+    if x.shape[1:] != geom.shape:
+        raise DimensionError(f"expected (batch, *{geom.shape}) inputs, got {x.shape}")
+    b, k = x.shape[0], len(geom.shape)
+    # (b, g0, p0, g1, p1, ...), then the grid axes moved in front of the patch axes
+    x = x.reshape(b, *(n for pair in zip(geom.grid, geom.patch) for n in pair))
+    axes = (0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2))
+    x = np.ascontiguousarray(x.transpose(axes), dtype=dtype)
+    return x.reshape(b, geom.tokens, geom.patch_dim)
+
+
+def spectrogram_patches(x: np.ndarray, geom: SpectrogramGeometry, dtype=None) -> np.ndarray:
+    """(batch, bins, frames) -> (batch, tokens, patch_dim), row-major grid."""
+    return _cut(x, geom, dtype)
 
 
 def video_patches(x: np.ndarray, geom: VideoGeometry, dtype=None) -> np.ndarray:
-    """(batch, frames, h, w) -> (batch, tokens, patch_dim), t-major grid,
-    in ``dtype`` as for :func:`spectrogram_patches`."""
-    if x.ndim != 4 or x.shape[1:] != (geom.frames, geom.height, geom.width):
-        raise DimensionError(
-            f"expected (batch, {geom.frames}, {geom.height}, {geom.width}) clips, got {x.shape}"
-        )
-    b = x.shape[0]
-    t, h, w = geom.grid
-    x = x.reshape(b, t, geom.patch_t, h, geom.patch_h, w, geom.patch_w)
-    x = np.ascontiguousarray(x.transpose(0, 1, 3, 5, 2, 4, 6), dtype=dtype)
-    return x.reshape(b, t * h * w, geom.patch_dim)
+    """(batch, frames, h, w) -> (batch, tokens, patch_dim), t-major grid."""
+    return _cut(x, geom, dtype)
 
 
-def unpatch_spectrogram(tokens: np.ndarray, geom: SpectrogramGeometry, dtype=None) -> np.ndarray:
-    """Inverse of :func:`spectrogram_patches`, in ``dtype``."""
-    b = tokens.shape[0]
-    rows, cols = geom.grid
-    x = tokens.reshape(b, rows, cols, geom.patch_bins, geom.patch_frames)
-    x = np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4), dtype=dtype)
-    return x.reshape(b, geom.bins, geom.frames)
-
-
-def unpatch_video(tokens: np.ndarray, geom: VideoGeometry, dtype=None) -> np.ndarray:
-    """Inverse of :func:`video_patches`, in ``dtype``."""
-    b = tokens.shape[0]
-    t, h, w = geom.grid
-    x = tokens.reshape(b, t, h, w, geom.patch_t, geom.patch_h, geom.patch_w)
-    x = np.ascontiguousarray(x.transpose(0, 1, 4, 2, 5, 3, 6), dtype=dtype)
-    return x.reshape(b, geom.frames, geom.height, geom.width)
+def unpatch(tokens: np.ndarray, geom: _Geometry, dtype=None) -> np.ndarray:
+    """Inverse of the patch cut: (batch, tokens, patch_dim) -> (batch, *shape),
+    in ``dtype``."""
+    b, k = tokens.shape[0], len(geom.shape)
+    x = tokens.reshape(b, *geom.grid, *geom.patch)
+    # interleave back to (b, g0, p0, g1, p1, ...)
+    axes = (0, *(a for i in range(1, k + 1) for a in (i, i + k)))
+    x = np.ascontiguousarray(x.transpose(axes), dtype=dtype)
+    return x.reshape(b, *geom.shape)

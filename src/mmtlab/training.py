@@ -26,9 +26,9 @@ from .errors import ConfigError, DataError
 from .missing import MmtBank, SubstitutionMethod, check_replace_probs, random_replace, substitute
 from .model import MODALITIES, MbtParameters, forward
 from .optim import FitResult, check_fit_settings, fit
-from .protocol import build_schedule, class_weights
+from .protocol import class_weights
 from .rng import Stream
-from .synthdata import SynthDataset
+from .synthdata import SynthDataset, build_schedule, complete
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,7 @@ def train(
 
     ids = np.arange(len(ds))
     if tcfg.filter_incomplete:
-        keep = np.ones(len(ds), dtype=bool)
-        for m in MODALITIES:
-            keep &= ~masks[m]
-        ids = ids[keep]
+        ids = ids[complete(masks)]
         if len(ids) == 0:
             raise DataError("filtering incomplete samples left nothing to train on")
 

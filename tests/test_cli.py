@@ -3,6 +3,7 @@
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,21 @@ from mmtlab.config import (
 from mmtlab.errors import ConfigError, InfeasibleRateError, SchemaError
 from mmtlab.missing import MmtBank, SubstitutionMethod
 from mmtlab.model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
-from mmtlab.protocol import MetricsTable, build_schedule, evaluate, make_test_variants
+from mmtlab.protocol import MetricsTable, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
 from mmtlab.schema import decode
-from mmtlab.synthdata import SynthConfig, _natural_masks, generate
+from mmtlab.synthdata import SynthConfig, _natural_masks, build_schedule, generate
 from mmtlab.tokenizer import DESK_AUDIO
+
+
+# every shipped preset must run; the full-size reference config is a
+# parse-only fixture, since no desk-scale generator renders its sizes
+PRESETS = sorted(
+    p.name.removesuffix(".json")
+    for p in resources.files("mmtlab").joinpath("presets").iterdir()
+    if p.name.endswith(".json")
+)
+REFERENCE_SCALE = str(Path(__file__).parent / "data" / "reference-scale.json")
 
 
 MICRO_GEO = {
@@ -85,7 +96,7 @@ def write_cfg(tmp_path: Path, name="cfg.json", **extra) -> str:
 
 
 def test_presets_load_and_pass_compat_checks():
-    for name in ("epic-kitchens-like", "epic-sounds-like", "ego4d-ar-like"):
+    for name in PRESETS:
         cfg = load_run_config(preset_path(name))
         check_data_compat(cfg)
     ek = load_run_config(preset_path("epic-kitchens-like"))
@@ -99,7 +110,7 @@ def test_presets_load_and_pass_compat_checks():
 
 
 def test_reference_scale_preset_parses_with_full_size_values():
-    cfg = load_run_config(preset_path("reference-scale"))
+    cfg = load_run_config(REFERENCE_SCALE)
     m = cfg.model
     assert (m.layers, m.heads, m.embed_dim) == (12, 12, 768)
     assert (m.fusion_layer, m.bottleneck) == (8, 4)
@@ -147,10 +158,10 @@ def test_partial_geometry_override_keeps_the_other_defaults():
     assert cfg.synth.audio == DESK_AUDIO
 
 
-@pytest.mark.parametrize("preset", ["ego4d-ar-like", "epic-kitchens-like", "epic-sounds-like", "reference-scale"])
+@pytest.mark.parametrize("preset", [*PRESETS, "reference-scale"])
 @pytest.mark.parametrize("section", ["synth", "model", "train", "mae", "run"])
 def test_decode_inverts_asdict(preset, section):
-    cfg = load_run_config(preset_path(preset))
+    cfg = load_run_config(REFERENCE_SCALE if preset == "reference-scale" else preset_path(preset))
     x = cfg if section == "run" else getattr(cfg, section)
     assert decode(type(x), asdict(x)) == x
     assert decode(type(x), json.loads(json.dumps(asdict(x)))) == x
@@ -297,7 +308,7 @@ def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
     assert seq == par
 
 
-@pytest.mark.parametrize("preset", ["ego4d-ar-like", "epic-kitchens-like", "epic-sounds-like"])
+@pytest.mark.parametrize("preset", PRESETS)
 def test_desk_preset_runs_train_eval_report(tmp_path, preset):
     path = micro_preset(tmp_path, preset)
     assert main(["train", "--config", path]) == 0
@@ -443,6 +454,29 @@ def test_eval_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys):
     assert record["error"] == "ConfigError"
     assert "n_classes" in record["message"]
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rtest, message",
+    [
+        pytest.param("150", "eval rate 150.0 outside [0, 100]", id="150"),
+        pytest.param(",", "need at least one eval rate", id="empty"),
+    ],
+)
+def test_eval_flags_are_checked_like_the_config_before_anything_is_written(
+    tmp_path, capsys, rtest, message
+):
+    path = write_cfg(tmp_path)
+    assert main(["train", "--config", path]) == 0
+    out = tmp_path / "scored"
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    capsys.readouterr()
+    code = main(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(out), "--rtest", rtest])
+    assert code == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (out / "config.json").exists()
 
 
 def test_failing_eval_leaves_the_run_directory_as_it_was(tmp_path, capsys):

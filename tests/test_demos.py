@@ -4,9 +4,12 @@ Each demo runs in its own interpreter, as a reader would start it, with
 ``src`` on the import path. Only the demos that finish in well under a
 second are run here: 03 (synthetic data), 05 (substitution), 06 (random
 replacement training), 07 (MAE pretraining) and 08 (sweep and report)
-take from 4 to 128 s each and are left out of the suite.
+take from 4 to 128 s each and are left out of the suite; every demo's
+``from mmtlab... import`` names are checked without running it instead.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +18,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_imports_name_what_mmtlab_has(demo):
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mmtlab":
+            module = importlib.import_module(node.module)
+            absent = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not absent, f"{demo}: {node.module} has no {', '.join(absent)}"
 
 
 @pytest.mark.parametrize(

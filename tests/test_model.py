@@ -354,6 +354,8 @@ def test_config_validation():
         tiny_config(head_names=("only",))
     with pytest.raises(ConfigError):
         tiny_config(arch="cross")
+    with pytest.raises(ConfigError, match="unknown modality 'depth'"):
+        tiny_config().tokens("depth")
 
 
 def test_attention_pair_counts_desk_scale():

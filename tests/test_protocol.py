@@ -14,14 +14,13 @@ from mmtlab.model import MbtParameters, forward
 from mmtlab.protocol import (
     MetricsTable,
     blob_sha1,
-    build_schedule,
     class_weights,
     evaluate,
     make_test_variants,
     sweep,
     write_manifest,
 )
-from mmtlab.synthdata import SynthDataset, generate
+from mmtlab.synthdata import SynthDataset, build_schedule, generate
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import mmtlab
+from mmtlab.config import load_run_config, preset_path
 from mmtlab.errors import ConfigError
 from mmtlab.synthdata import (
     MODALITIES,
@@ -14,6 +16,7 @@ from mmtlab.synthdata import (
     _render,
     _template_matrix,
     bayes_accuracy_bound,
+    build_schedule,
     expected_accuracy,
     generate,
     template_match,
@@ -189,6 +192,21 @@ def test_natural_missing_rates_exact_and_deterministic():
     assert ds.complete_mask().sum() == 200 - int(0.29 * 200)
 
 
+def test_natural_absences_and_the_test_schedule_keep_their_bytes():
+    # ego4d-ar-like's natural rates, seed 3, 128 test samples: the SHA-1s
+    # of the masks and of the test-missing order, pinned so the missing-set
+    # rule cannot drift under the code that draws it
+    def sha(a: np.ndarray) -> str:
+        return hashlib.sha1(a.tobytes()).hexdigest()[:8]
+
+    cfg = load_run_config(preset_path("ego4d-ar-like")).synth
+    ds = generate(cfg, seed=3, n=128, split="test")
+    assert (sha(ds.missing["audio"]), int(ds.missing["audio"].sum())) == ("a8009741", 37)
+    assert (sha(ds.missing["video"]), int(ds.missing["video"].sum())) == ("4fc86ce8", 34)
+    order = build_schedule(ds.missing["video"], 3, "test-missing").order
+    assert sha(order.astype("<i8")) == "8eec340d"
+
+
 def test_naturally_missing_raw_data_is_gone():
     cfg = small_config(natural_missing={"audio": 0.5})
     ds = generate(cfg, seed=8, n=20)
@@ -289,3 +307,5 @@ def test_config_validation():
         small_config(n_classes=(4, 1))
     with pytest.raises(ConfigError):
         generate(small_config(), seed=0, n=0)
+    with pytest.raises(ConfigError, match="unknown modality 'depth'"):
+        small_config().raw_shape("depth")

@@ -6,8 +6,7 @@ from mmtlab.tokenizer import (
     SpectrogramGeometry,
     VideoGeometry,
     spectrogram_patches,
-    unpatch_spectrogram,
-    unpatch_video,
+    unpatch,
     video_patches,
 )
 
@@ -86,8 +85,8 @@ def test_patch_roundtrips_are_bijective():
     rng = np.random.default_rng(2)
     spec = rng.standard_normal((5, 16, 64))
     clip = rng.standard_normal((5, 4, 32, 32))
-    np.testing.assert_array_equal(unpatch_spectrogram(spectrogram_patches(spec, sg), sg), spec)
-    np.testing.assert_array_equal(unpatch_video(video_patches(clip, vg), vg), clip)
+    np.testing.assert_array_equal(unpatch(spectrogram_patches(spec, sg), sg), spec)
+    np.testing.assert_array_equal(unpatch(video_patches(clip, vg), vg), clip)
 
 
 def test_wrong_input_shape_rejected():
