@@ -42,6 +42,13 @@ zero-filled and copied ``qkv``-sized buffers; with the fused ops a block
 records 8 nodes instead of 26. They do the same arithmetic in the same
 order as the composite, so results are bit for bit the same. The
 primitives stay public and gradchecked.
+
+Each rule is written once: :func:`softmax` and :func:`multi_head_attention`
+share the last-axis softmax and its backward, :func:`gelu` and :func:`mlp`
+the GELU pieces, :func:`gather_rows` and :func:`pick` the scatter-add. A
+parameter is broadcast as it is, with no ``reshape`` node in front. A train
+step on ``epic-kitchens-like`` records 134 nodes (64 in its 8 blocks), one
+on ``ego4d-ar-like`` 138, and a masked-autoencoder step 166.
 """
 
 from __future__ import annotations
@@ -141,12 +148,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            if g.shape == self.data.shape:
-                # callers may reuse their buffer, so copy rather than alias
-                self.grad = g.copy()
-                return
-            self.grad = _zeros(self)
-        self.grad += g
+            # callers may reuse their buffer, so copy rather than alias
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def accumulate_owned(self, g: np.ndarray) -> None:
         """Accumulate a gradient buffer the caller will never touch again.
@@ -155,7 +160,7 @@ class Tensor:
         freshly allocated inside a single backward closure, never the
         incoming upstream gradient or a view of it.
         """
-        if self.grad is None and g.shape == self.data.shape and g.flags.writeable:
+        if self.grad is None and g.flags.writeable:
             self.grad = g
         else:
             self.accumulate(g)
@@ -171,6 +176,18 @@ def _zeros(t: Tensor) -> np.ndarray:
     a broadcast view would reorder the sums later taken over the buffer.
     """
     return np.zeros(t.shape, dtype=t.data.dtype)
+
+
+def _scatter_add(t: Tensor, index: tuple, g: np.ndarray) -> None:
+    """``t.grad[index] += g`` with repeated index tuples accumulating; when all
+    are distinct, a fancy-index ``+=`` does it much faster than ``np.add.at``."""
+    if t.grad is None:
+        t.grad = _zeros(t)
+    flat = np.ravel_multi_index(np.broadcast_arrays(*index), t.shape[: len(index)], mode="wrap")
+    if np.diff(np.sort(flat, axis=None)).all():
+        t.grad[index] += g
+    else:
+        np.add.at(t.grad, index, g)
 
 
 def _record(out: Tensor) -> Tensor:
@@ -373,28 +390,20 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record(out)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-    # a Python int: a numpy integer would promote float32 to float64
-    count = a.data.size if axis is None else math.prod(
-        a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))
-    )
+def mean(a: Tensor) -> Tensor:
+    out = Tensor(a.data.mean(), (a,))
 
     def backward(g):
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        a.accumulate_owned(np.broadcast_to(g, a.shape) / count)
+        a.accumulate_owned(np.broadcast_to(g, a.shape) / a.data.size)
 
     out._backward = backward
     return _record(out)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+def sum_(a: Tensor) -> Tensor:
+    out = Tensor(a.data.sum(), (a,))
 
     def backward(g):
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
         a.accumulate_owned(np.broadcast_to(g, a.shape).copy())
 
     out._backward = backward
@@ -406,9 +415,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     ``a`` is (batch, n, d) and ``idx`` is (batch, k) of row indices; the
     backward pass scatter-adds into the input's gradient, so repeated
-    indices accumulate. When every row's indices are distinct (the MAE
-    callers' case) a plain fancy-index ``+=`` gives the same sums, without
-    the much slower ``np.add.at``.
+    indices accumulate.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
@@ -417,13 +424,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(a.data[batch_ix, idx], (a,))
 
     def backward(g):
-        if a.grad is None:
-            a.grad = _zeros(a)
-        ordered = np.sort(idx, axis=1)
-        if (ordered[:, 1:] != ordered[:, :-1]).all():
-            a.grad[batch_ix, idx] += g
-        else:
-            np.add.at(a.grad, (batch_ix, idx), g)
+        _scatter_add(a, (batch_ix, idx), g)
 
     out._backward = backward
     return _record(out)
@@ -432,23 +433,14 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Gather a[rows[i], cols[i]] for each i; used to pull label logits.
 
-    Backward scatter-adds, so a repeated (row, col) pair accumulates. When
-    the pairs are distinct (``cross_entropy``'s one label per row) a
-    fancy-index ``+=`` gives the same sums without ``np.add.at``.
+    Backward scatter-adds, so a repeated (row, col) pair accumulates.
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     out = Tensor(a.data[rows, cols], (a,))
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        flat = np.ravel_multi_index(np.broadcast_arrays(rows, cols), a.shape[:2], mode="wrap")
-        ordered = np.sort(flat, axis=None)
-        if (ordered[1:] != ordered[:-1]).all():
-            full[rows, cols] += g
-        else:
-            np.add.at(full, (rows, cols), g)
-        a.accumulate_owned(full)
+        _scatter_add(a, (rows, cols), g)
 
     out._backward = backward
     return _record(out)
@@ -497,30 +489,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record(out)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, stabilized by max subtraction."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Last-axis softmax of ``a``, in place, stabilized by max subtraction."""
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
+def _softmax_rows_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Softmax backward in place on ``g``, for output ``y``: y (g - sum(g y))."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax along the last axis."""
+    y = _softmax_rows(x.data.copy())
     out = Tensor(y, (x,))
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        x.accumulate_owned(y * (g - inner))
+        x.accumulate_owned(_softmax_rows_grad(g.copy(), y))
 
     out._backward = backward
     return _record(out)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax along the last axis."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
     out = Tensor(y, (x,))
 
     def backward(g):
         sm = np.exp(y)
-        x.accumulate_owned(g - sm * g.sum(axis=axis, keepdims=True))
+        x.accumulate_owned(g - sm * g.sum(axis=-1, keepdims=True))
 
     out._backward = backward
     return _record(out)
@@ -593,9 +598,7 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
     # the same arithmetic as softmax(scale(matmul(q, k^T), s)) @ v
     att = q @ np.swapaxes(k, -1, -2)
     att *= s
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    _softmax_rows(att)
     merged = np.empty(qkv.shape[:-1] + (d,), dtype=qkv.data.dtype)
     np.matmul(att, v, out=_split_heads(merged, 1, heads)[0])
     out = Tensor(merged, (qkv,))
@@ -605,10 +608,8 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
         dqkv = np.empty(qkv.shape, dtype=qkv.data.dtype)
         dq, dk, dv = _split_heads(dqkv, 3, heads)
         np.matmul(np.swapaxes(att, -1, -2), gm, out=dv)
-        # softmax backward att * (g - sum(g * att)), then the scale
         ds = gm @ np.swapaxes(v, -1, -2)
-        ds -= (ds * att).sum(axis=-1, keepdims=True)
-        ds *= att
+        _softmax_rows_grad(ds, att)
         ds *= s
         np.matmul(ds, k, out=dq)
         dk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
@@ -653,7 +654,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
     """Mean over the batch of w[label] * (-log softmax(logits)[label])."""
     labels = np.asarray(labels, dtype=np.int64)
-    lp = log_softmax(logits, axis=-1)
+    lp = log_softmax(logits)
     rows = np.arange(labels.shape[0])
     picked = pick(lp, rows, labels)
     if weights is not None:

@@ -84,8 +84,6 @@ def _write_run_manifest(out: Path, command: str) -> None:
 def _load_finetune(cfg: RunConfig, path: str) -> tuple[MbtParameters, MmtBank]:
     """A finetune checkpoint holds model weights plus the token bank; its
     model must fit the data ``cfg`` generates."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"checkpoint not found: {path}")
     arrays, ckpt_cfg, stage = load_checkpoint(path)
     if stage != "finetune":
         raise CheckpointError(f"{path}: expected a finetune checkpoint, got {stage!r}")
@@ -219,8 +217,13 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
+def _cell_name(axis: str, value: float) -> str:
+    """How a grid value names its cell directories and its method label."""
+    return f"{axis}={value:g}"
+
+
 def _cell_dir(out: Path, axis: str, value: float, seed: int) -> Path:
-    return out / "cells" / f"{axis}={value:g}-seed={seed}"
+    return out / "cells" / f"{_cell_name(axis, value)}-seed={seed}"
 
 
 def _ensure_cell_model(out: str, cfg: RunConfig, axis: str, value: float, seed: int) -> str:
@@ -247,9 +250,15 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("--grid must list at least one value")
     # reject a bad grid before anything is written: _apply_axis builds each
-    # cell's config, whose RunConfig checks an r_train value's feasibility
+    # cell's config, whose RunConfig checks an r_train value's feasibility,
+    # and two values with one cell name would share a cell
+    names: dict[str, float] = {}
     for value in grid:
         _apply_axis(cfg, axis, value)
+        name = _cell_name(axis, value)
+        if name in names:
+            raise ConfigError(f"--grid values {names[name]} and {value} both name the cell {name}")
+        names[name] = value
     method = SubstitutionMethod.parse(cfg.eval.method)
     out = _prepare_out(cfg)
 
@@ -271,7 +280,7 @@ def cmd_sweep(args) -> int:
     table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
     cells = [
         {
-            "method": f"{method.value}|{axis}={value:g}",
+            "method": f"{method.value}|{_cell_name(axis, value)}",
             "r_test": r,
             "seed": seed,
             "heads": cfg.model.head_names,

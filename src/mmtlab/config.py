@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .mae import MaeConfig, mask_count
 from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
+from .protocol import MetricsTable
 from .schema import decode
 from .synthdata import SynthConfig, missing_count
 from .tokenizer import geometry
@@ -63,9 +64,16 @@ class EvalConfig:
             raise ConfigError(f"eval missing modality {self.missing!r} unknown")
         if not self.rates:
             raise ConfigError("need at least one eval rate")
+        labels: dict[str, float] = {}
         for r in self.rates:
             if not 0.0 <= r <= 100.0:
                 raise ConfigError(f"eval rate {r} outside [0, 100] percent")
+            label = MetricsTable.rate_label(r)
+            if label in labels:
+                raise ConfigError(
+                    f"eval rates {labels[label]} and {r} are both written as r_test {label}"
+                )
+            labels[label] = r
 
 
 @dataclass(frozen=True)

@@ -197,13 +197,12 @@ def mae_forward(
 
     recons: dict[str, Tensor] = {}
     losses: dict[str, Tensor] = {}
-    dd = cfg.decoder_dim
     for m in present:
         vis, msk = masks[m]
         v, k = vis.shape[1], msk.shape[1]
         enc = ad.narrow(feats[m], 1, 1, v)  # drop CLS
         x = ad.linear(enc, dec[f"{m}.dec.proj.w"], dec[f"{m}.dec.proj.b"])
-        tok = ad.broadcast_to(ad.reshape(dec[f"{m}.dec.mask"], (1, 1, dd)), (batch, k, dd))
+        tok = ad.broadcast_to(dec[f"{m}.dec.mask"], (batch, k, cfg.decoder_dim))
         # concat visible-first, then permute back to original token order
         cat = ad.concat([x, tok], axis=1)
         inverse = np.argsort(np.concatenate([vis, msk], axis=1), axis=1)

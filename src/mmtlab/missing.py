@@ -71,6 +71,15 @@ class MmtBank(ParamSet):
         return cls(dim, {f"mmt.{m}": normal(dim) for m in MODALITIES})
 
 
+def batch_flags(flags, batch: int, what: str = "replace mask") -> np.ndarray:
+    """``flags`` as a boolean (batch,) array, one flag per sample; any
+    other shape is a DimensionError naming ``what``."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.shape != (batch,):
+        raise DimensionError(f"{what} shape {flags.shape} != (batch,) = ({batch},)")
+    return flags
+
+
 def replace_with_mmt(
     bank: MmtBank, modality: str, content: Tensor, replace: np.ndarray
 ) -> Tensor:
@@ -78,29 +87,22 @@ def replace_with_mmt(
 
     ``replace`` is a boolean (batch,) mask. Rows where it is set come out
     as the token broadcast over every position; other rows pass through
-    untouched.
+    untouched. The (dim,) token is broadcast straight to the content's
+    shape; backward sums its gradient over every row and position.
     """
-    replace = np.asarray(replace, dtype=bool)
-    if replace.shape != (content.shape[0],):
-        raise DimensionError(
-            f"replace mask shape {replace.shape} != (batch,) = ({content.shape[0]},)"
-        )
+    replace = batch_flags(replace, content.shape[0])
     if not replace.any():
         return content
     # the 0/1 blend weights in the content's dtype, so float32 stays float32
     m = replace.astype(content.data.dtype)[:, None, None]
-    token = ad.broadcast_to(ad.reshape(bank[modality], (1, 1, bank.dim)), content.shape)
+    token = ad.broadcast_to(bank[modality], content.shape)
     return ad.add(ad.mul(content, Tensor(1.0 - m)), ad.mul(token, Tensor(m)))
 
 
 def substitute_zeros(patches: np.ndarray, replace: np.ndarray) -> np.ndarray:
     """Zero the raw patches of replaced samples; tokenization then proceeds
     as if a silent/black input had been recorded."""
-    replace = np.asarray(replace, dtype=bool)
-    if replace.shape != (patches.shape[0],):
-        raise DimensionError(
-            f"replace mask shape {replace.shape} != (batch,) = ({patches.shape[0]},)"
-        )
+    replace = batch_flags(replace, patches.shape[0])
     out = patches.copy()
     out[replace] = 0.0
     return out
@@ -124,7 +126,7 @@ def substitute(
     """
     content = {}
     for m, x in patches.items():
-        replace = np.asarray(flags[m], dtype=bool)
+        replace = batch_flags(flags[m], x.shape[0], f"{m} flags")
         if method is SubstitutionMethod.SKIP and replace.any():
             raise ConfigError(f"skip substitutes nothing, but {m} is flagged absent")
         if method is SubstitutionMethod.ZEROS:
@@ -148,12 +150,10 @@ def substitute_skip(
     """
     names = [m for m in MODALITIES if m in missing]
     n = len(next(iter(missing.values())))
-    for m, mask in missing.items():
-        if np.asarray(mask).shape != (n,):
-            raise DimensionError(f"missing mask for {m} has shape {np.asarray(mask).shape}")
+    missing = {m: batch_flags(mask, n, f"missing mask for {m}") for m, mask in missing.items()}
     key = np.zeros(n, dtype=np.int64)
     for bit, m in enumerate(names):
-        key += (~np.asarray(missing[m], dtype=bool)).astype(np.int64) << bit
+        key += (~missing[m]).astype(np.int64) << bit
     groups = []
     for pattern in sorted(set(key.tolist()), reverse=True):
         present = tuple(m for bit, m in enumerate(names) if pattern >> bit & 1)

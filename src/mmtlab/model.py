@@ -290,31 +290,35 @@ def with_cls_and_pos(
     id (``rows + 1``), through one ``gather_rows``.
     """
     batch = content.shape[0]
-    d = p.config.embed_dim
-    cls = ad.broadcast_to(ad.reshape(p[f"{modality}.cls"], (1, 1, d)), (batch, 1, d))
+    cls = ad.broadcast_to(p[f"{modality}.cls"], (batch, 1, p.config.embed_dim))
     seq = ad.concat([cls, content], axis=1)
     pos = p[f"{modality}.pos"]
     if rows is not None:
-        n = pos.shape[0]
         ids = np.concatenate([np.zeros((batch, 1), dtype=np.int64), rows + 1], axis=1)
-        pos = ad.gather_rows(ad.broadcast_to(ad.reshape(pos, (1, n, d)), (batch, n, d)), ids)
+        pos = ad.gather_rows(ad.broadcast_to(pos, (batch, *pos.shape)), ids)
     return ad.add(seq, pos)
 
 
+def _average(parts: list[Tensor]) -> Tensor:
+    """The mean of per-modality tensors: summed in order, then scaled."""
+    acc = parts[0]
+    for extra in parts[1:]:
+        acc = ad.add(acc, extra)
+    return ad.scale(acc, 1.0 / len(parts))
+
+
 def _readout(p: MbtParameters, feats: dict[str, Tensor]) -> list[Tensor]:
-    """Per-modality CLS -> norm -> heads; average logits over modalities."""
+    """Each modality's CLS row, selected once, goes through the output norm
+    and linear layer of every head; logits average over the modalities."""
+    d = p.config.embed_dim
+    cls = {m: ad.reshape(ad.narrow(x, 1, 0, 1), (x.shape[0], d)) for m, x in feats.items()}
     logits: list[Tensor] = []
     for h in range(len(p.config.n_classes)):
         parts = []
-        for m, x in feats.items():
-            cls = ad.narrow(x, 1, 0, 1)
-            cls = ad.reshape(cls, (x.shape[0], p.config.embed_dim))
-            cls = ad.layer_norm(cls, p[f"{m}.out_ln.g"], p[f"{m}.out_ln.b"], eps=p.config.ln_eps)
-            parts.append(ad.linear(cls, p[f"{m}.head.{h}.w"], p[f"{m}.head.{h}.b"]))
-        acc = parts[0]
-        for extra in parts[1:]:
-            acc = ad.add(acc, extra)
-        logits.append(ad.scale(acc, 1.0 / len(parts)))
+        for m, c in cls.items():
+            c = ad.layer_norm(c, p[f"{m}.out_ln.g"], p[f"{m}.out_ln.b"], eps=p.config.ln_eps)
+            parts.append(ad.linear(c, p[f"{m}.head.{h}.w"], p[f"{m}.head.{h}.b"]))
+        logits.append(_average(parts))
     return logits
 
 
@@ -343,10 +347,7 @@ def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor
     x = _run_stacks(p, x, range(min(cfg.fusion_layer, cfg.layers)))
 
     if cfg.fusion_layer < cfg.layers:
-        z = ad.broadcast_to(
-            ad.reshape(p["z"], (1, cfg.bottleneck, cfg.embed_dim)),
-            (batch, cfg.bottleneck, cfg.embed_dim),
-        )
+        z = ad.broadcast_to(p["z"], (batch, cfg.bottleneck, cfg.embed_dim))
         for l in range(cfg.fusion_layer, cfg.layers):
             zhats = []
             for m in present:
@@ -355,10 +356,7 @@ def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor
                 n = seq.shape[1] - cfg.bottleneck
                 x[m] = ad.narrow(out, 1, 0, n)
                 zhats.append(ad.narrow(out, 1, n, cfg.bottleneck))
-            acc = zhats[0]
-            for extra in zhats[1:]:
-                acc = ad.add(acc, extra)
-            z = ad.scale(acc, 1.0 / len(zhats))
+            z = _average(zhats)
 
     return x
 
@@ -506,20 +504,32 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, str]:
         off += n
         return piece
 
+    def text(n: int, what: str) -> str:
+        start = off
+        try:
+            return bytes(take(n)).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} at byte {start} is not UTF-8") from None
+
     if bytes(take(len(_MAGIC))) != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     (version,) = struct.unpack("<I", take(4))
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (stage_len,) = struct.unpack("<H", take(2))
-    stage = bytes(take(stage_len)).decode()
+    stage = text(stage_len, "stage tag")
     (cfg_len,) = struct.unpack("<I", take(4))
-    config = json.loads(bytes(take(cfg_len)).decode())
+    try:
+        config = json.loads(text(cfg_len, "config"))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}: config is not valid JSON ({e})") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is a JSON {type(config).__name__}, not an object")
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if rank else 8

@@ -31,6 +31,9 @@ def lr_at_step(step: int, base_lr: float, warmup_steps: int, total_steps: int) -
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * min(progress, 1.0)))
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's usual moment decays and guard
+
+
 @dataclass
 class AdamW:
     """Decoupled-weight-decay Adam over a fixed list of parameter tensors.
@@ -45,9 +48,6 @@ class AdamW:
     warmup_steps: int
     total_steps: int
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     no_decay: frozenset[int] = frozenset()
     step_count: int = 0
     _m: list[np.ndarray] = field(default_factory=list)
@@ -65,8 +65,8 @@ class AdamW:
         """Apply one update from accumulated grads; returns the lr used."""
         lr = self.lr
         t = self.step_count + 1
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -75,11 +75,11 @@ class AdamW:
                 p.data *= 1.0 - lr * self.weight_decay
             m = self._m[i]
             v = self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         self.step_count = t
         return lr
 

@@ -18,7 +18,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .missing import MmtBank, SubstitutionMethod, substitute, substitute_skip
+from .missing import MmtBank, SubstitutionMethod, batch_flags, substitute, substitute_skip
 from .model import MODALITIES, MbtParameters, forward
 from .synthdata import SynthDataset, build_schedule
 
@@ -94,9 +94,7 @@ def evaluate(
     """
     n = len(ds)
     heads = len(params.config.n_classes)
-    for m in MODALITIES:
-        if missing[m].shape != (n,):
-            raise ConfigError(f"missing mask for {m} has shape {missing[m].shape}")
+    missing = {m: batch_flags(missing[m], n, f"missing mask for {m}") for m in MODALITIES}
     preds = np.full((n, heads), -1, dtype=np.int64)
 
     if method is SubstitutionMethod.SKIP:
@@ -155,10 +153,12 @@ class MetricsTable:
 
     @classmethod
     def _key(cls, method: str, r_test: float, head: str, seed: int) -> tuple:
-        return (str(method), cls._fmt_rate(r_test), str(head), int(seed))
+        return (str(method), cls.rate_label(r_test), str(head), int(seed))
 
     @staticmethod
-    def _fmt_rate(r: float) -> str:
+    def rate_label(r: float) -> str:
+        """``r_test`` as the CSV writes it and rows are keyed: two rates
+        with one label are one row."""
         return f"{float(r):g}"
 
     def to_csv(self) -> str:
@@ -166,7 +166,7 @@ class MetricsTable:
         for m, r, h, s, acc, n in sorted(
             self.rows, key=lambda row: (row[0], row[1], row[2], row[3])
         ):
-            lines.append(f"{m},{self._fmt_rate(r)},{h},{s},{acc:.6f},{n}")
+            lines.append(f"{m},{self.rate_label(r)},{h},{s},{acc:.6f},{n}")
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -181,11 +181,11 @@ class MetricsTable:
             raise DataError(f"{path}: missing metrics header {cls.HEADER!r}")
         rows = []
         for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 6:
-                raise DataError(f"{path}: malformed row {ln!r}")
-            m, r, h, s, acc, n = parts
-            rows.append((m, float(r), h, int(s), float(acc), int(n)))
+            try:
+                m, r, h, s, acc, n = ln.split(",")
+                rows.append((m, float(r), h, int(s), float(acc), int(n)))
+            except ValueError:
+                raise DataError(f"{path}: malformed row {ln!r}") from None
         return cls(rows)
 
 

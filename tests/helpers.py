@@ -65,7 +65,7 @@ def reference_attention(qkv, heads: int):
     qh, kh, vh = (split(ad.narrow(qkv, -1, i * d, d)) for i in range(3))
     nd = kh.data.ndim
     kt = ad.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    att = ad.softmax(ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(hd)), axis=-1)
+    att = ad.softmax(ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(hd)))
     mixed = ad.matmul(att, vh)  # (..., heads, n, hd)
     order = tuple(range(mixed.data.ndim))
     merged = ad.transpose(mixed, order[:-3] + (order[-2], order[-3], order[-1]))

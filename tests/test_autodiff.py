@@ -6,6 +6,8 @@ from mmtlab.autodiff import Tape, Tensor
 from mmtlab.errors import ConfigError, DimensionError
 from mmtlab.gradcheck import max_relative_error
 
+from helpers import reference_attention
+
 TOL = 1e-5
 
 
@@ -273,7 +275,7 @@ def test_every_op_computes_forward_and_backward_in_float32():
         h = ad.concat([ad.narrow(h, 1, 0, 2), ad.narrow(h, 1, 2, 3)], axis=1)
         h = ad.gather_rows(h, np.array([[4, 0, 1], [2, 3, 3]]))
         h = ad.matmul(ad.transpose(ad.reshape(h, (2, 3, 8)), (0, 2, 1)), h)
-        h = ad.softmax(ad.broadcast_to(ad.mean(h, axis=1, keepdims=True), (2, 3, 8)))
+        h = ad.softmax(ad.add(ad.narrow(h, 1, 0, 3), ad.broadcast_to(ad.mean(h), (2, 3, 8))))
         logits = ad.reshape(h, (6, 8))
         labels, weights = np.arange(6), np.linspace(0.5, 2.0, 8)  # float64 weights
         loss = ad.add(
@@ -467,6 +469,66 @@ def test_gradients_through_a_broadcast_view_match_a_copy_bit_for_bit():
         return p.grad
 
     assert pos_grad(copy=False).tobytes() == pos_grad(copy=True).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, target",
+    [
+        pytest.param((16,), (64, 1, 16), id="cls"),
+        pytest.param((16,), (64, 21, 16), id="token"),
+        pytest.param((4, 16), (64, 4, 16), id="bottleneck"),
+        pytest.param((22, 16), (64, 22, 16), id="positions"),
+    ],
+)
+def test_broadcasting_a_parameter_equals_reshape_then_broadcast(shape, target):
+    # the model broadcasts its CLS, token, bottleneck and position
+    # parameters as they are; numpy prepends the batch axes
+    rng = np.random.default_rng(15)
+    value = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal(target).astype(np.float32)
+
+    def run(reshape_first: bool):
+        p = Tensor(value.copy())
+        with Tape() as tape:
+            src = ad.reshape(p, (1,) * (len(target) - len(shape)) + shape) if reshape_first else p
+            out = ad.broadcast_to(src, target)
+            tape.backward(ad.sum_(ad.mul(out, Tensor(w))))
+        return np.ascontiguousarray(out.data), p.grad
+
+    (direct, g_direct), (via, g_via) = run(False), run(True)
+    assert direct.tobytes() == via.tobytes()
+    assert g_direct.shape == shape and g_direct.tobytes() == g_via.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_equals_the_softmax_composite_bit_for_bit(heads, dtype):
+    rng = np.random.default_rng(16)
+    b, n = 3, 5
+    d = heads * n
+
+    def run(op, qkv, w):
+        x = Tensor(qkv.copy())
+        with Tape() as tape:
+            out = op(x, heads)
+            tape.backward(ad.sum_(ad.mul(out, Tensor(w))))
+        return out.data, x.grad
+
+    # values that are one-hot per head and key (head width n) make the
+    # output the attention probabilities themselves, exactly
+    qkv = rng.standard_normal((b, n, 3 * d)).astype(dtype)
+    qkv[..., 2 * d :] = np.tile(np.eye(n, dtype=dtype), (1, heads))
+    w = rng.standard_normal((b, n, d)).astype(dtype)
+    fused, composite = run(ad.multi_head_attention, qkv, w), run(reference_attention, qkv, w)
+    assert fused[0].tobytes() == composite[0].tobytes()
+    assert np.allclose(fused[0].reshape(b, n, heads, n).sum(axis=-1), 1.0)
+    assert fused[1].tobytes() == composite[1].tobytes()
+    # and with random values, the output and the qkv gradient
+    qkv = rng.standard_normal((b, n, 3 * d)).astype(dtype)
+    fused, composite = run(ad.multi_head_attention, qkv, w), run(reference_attention, qkv, w)
+    for got, want in zip(fused, composite):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grad_narrow_pieces_add_into_one_gradient():

@@ -419,6 +419,21 @@ def test_missing_checkpoint_yields_error_record(tmp_path, capsys):
     assert record["command"] == "eval"
 
 
+@pytest.mark.parametrize("marker", [b'"model"', b"audio.embed.w"], ids=["config", "name"])
+def test_corrupted_checkpoint_yields_error_record(tmp_path, capsys, marker):
+    path = write_cfg(tmp_path)
+    assert main(["train", "--config", path]) == 0
+    ckpt = tmp_path / "run" / "model.ckpt"
+    blob = bytearray(ckpt.read_bytes())
+    blob[blob.index(marker)] = 0xFF
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--config", path, "--checkpoint", str(ckpt)]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "CheckpointError"
+    assert "is not UTF-8" in record["message"]
+
+
 def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys):
     path = write_cfg(tmp_path)
     mcfg = load_run_config(path).model
@@ -461,6 +476,10 @@ def test_eval_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys):
     [
         pytest.param("150", "eval rate 150.0 outside [0, 100]", id="150"),
         pytest.param(",", "need at least one eval rate", id="empty"),
+        pytest.param(
+            "10.0000001,10", "eval rates 10.0000001 and 10.0 are both written as r_test 10",
+            id="same-label",
+        ),
     ],
 )
 def test_eval_flags_are_checked_like_the_config_before_anything_is_written(
@@ -493,7 +512,16 @@ def test_failing_eval_leaves_the_run_directory_as_it_was(tmp_path, capsys):
     assert {"config.json", "manifest.json"} <= set(before)
 
 
-@pytest.mark.parametrize("axis, grid", [("p", "x"), ("p", ","), ("fusion_layer", "0.5")])
+@pytest.mark.parametrize(
+    "axis, grid",
+    [
+        ("p", "x"),
+        ("p", ","),
+        ("fusion_layer", "0.5"),
+        ("p", "0.1234567,0.1234568"),  # both name the cell p=0.123457
+        ("p", "0.25,0.25"),
+    ],
+)
 def test_sweep_with_a_bad_grid_creates_nothing(tmp_path, capsys, axis, grid):
     out = tmp_path / "fresh"
     path = write_cfg(tmp_path)
@@ -579,3 +607,24 @@ def test_reports_need_rows():
 
     with pytest.raises(DataError):
         render_text(MetricsTable())
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "mmt,abc,A,1,0.5,10",
+        "mmt,50,A,one,0.5,10",
+        "mmt,50,A,1,half,10",
+        "mmt,50,A,1,0.5,1e1",
+        "mmt,50,A,1,0.5",
+    ],
+    ids=["r_test", "seed", "accuracy", "n", "short"],
+)
+def test_report_on_a_malformed_metrics_row_yields_error_record(tmp_path, capsys, row):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(f"{MetricsTable.HEADER}\nmmt,0,A,1,0.9,10\n{row}\n")
+    assert main(["report", str(metrics), "--out", str(tmp_path / "rep")]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "DataError"
+    assert str(metrics) in record["message"] and repr(row) in record["message"]
+    assert not (tmp_path / "rep").exists()

@@ -386,3 +386,21 @@ def test_a_pretraining_step_runs_in_float32(monkeypatch):
     result = mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=2)
     assert result.steps == 1
     assert seen == {np.dtype(np.float32)}
+
+
+def test_one_micro_mae_step_records_a_pinned_number_of_tape_nodes(monkeypatch):
+    # per modality: visible-token embed 1, CLS and positions 5, two encoder
+    # blocks of 8, fused-layer concat and narrows 3, and a decoder of 20 (one
+    # block); then the bottleneck 1, its average 2 and the loss sum 1. The
+    # graph that reshaped each parameter before broadcasting it recorded 101.
+    counts = []
+    backward = Tape.backward
+
+    def spy(tape, loss):
+        counts.append(len(tape.nodes))
+        backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    ds, params, dec, acfg = setup_micro(n=16)
+    mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=1)
+    assert counts == [94]

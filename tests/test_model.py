@@ -1,3 +1,4 @@
+import struct
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -425,6 +426,47 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[: len(blob) - 10])
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(p))
+
+
+def _flip_byte(path, marker: bytes) -> None:
+    """Set the first byte of ``marker`` in the file at ``path`` to 0xFF."""
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(marker)] = 0xFF
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "marker, message",
+    [
+        pytest.param(b"finetune", "stage tag", id="stage"),
+        pytest.param(b'"layers"', "config", id="config"),
+        pytest.param(b"alpha.w", "tensor name", id="name"),
+    ],
+)
+def test_checkpoint_with_undecodable_text_is_a_checkpoint_error(tmp_path, marker, message):
+    p = tmp_path / "flip.ckpt"
+    save_checkpoint(str(p), {"alpha.w": np.ones((2, 2))}, {"layers": 2}, stage="finetune")
+    _flip_byte(p, marker)
+    with pytest.raises(CheckpointError, match=f"{message} at byte .* is not UTF-8"):
+        load_checkpoint(str(p))
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        pytest.param(b'{"layers": 2', "not valid JSON", id="invalid-json"),
+        pytest.param(b"[1, 2]", "a JSON list, not an object", id="list"),
+    ],
+)
+def test_checkpoint_header_must_be_a_json_object(tmp_path, config, message):
+    # the config length prefix sits right before the JSON; rewrite both
+    p = tmp_path / "hdr.ckpt"
+    save_checkpoint(str(p), {"w": np.ones(2)}, {}, stage="finetune")
+    blob = p.read_bytes()
+    at = blob.index(b"{}")
+    p.write_bytes(blob[: at - 4] + struct.pack("<I", len(config)) + config + blob[at + 2 :])
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(str(p))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import micro_model_config, micro_synth_config, record_dtypes
+from mmtlab.autodiff import Tape
 from mmtlab.errors import ConfigError, DataError
 from mmtlab.missing import MmtBank
 from mmtlab.model import MbtParameters
@@ -178,3 +179,23 @@ def test_a_train_step_runs_in_float32(monkeypatch):
     result = train(params, bank, ds, tcfg, seed=2)
     assert result.steps == 1
     assert seen == {np.dtype(np.float32)}
+
+
+def test_one_micro_train_step_records_a_pinned_number_of_tape_nodes(monkeypatch):
+    # per modality: embed 1, token swap 4, CLS and positions 3, two blocks
+    # of 8, fused-layer concat and narrows 3; then the bottleneck 1 and its
+    # average 2, the readout 16 and the two heads' cross-entropy 9. The
+    # graph that reshaped each parameter before broadcasting it, and picked
+    # the CLS rows once per head, recorded 91.
+    counts = []
+    backward = Tape.backward
+
+    def spy(tape, loss):
+        counts.append(len(tape.nodes))
+        backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    ds, params, bank = fresh(n=16)
+    tcfg = micro_train_config(epochs=1, replace_probs={"audio": 0.3, "video": 0.3})
+    train(params, bank, ds, tcfg, seed=1)
+    assert counts == [82]
