@@ -45,7 +45,15 @@ primitives stay public and gradchecked.
 
 Each rule is written once: :func:`softmax` and :func:`multi_head_attention`
 share the last-axis softmax and its backward, :func:`gelu` and :func:`mlp`
-the GELU pieces, :func:`gather_rows` and :func:`pick` the scatter-add. A
+the GELU pieces, :func:`gather_rows` and :func:`pick` the scatter-add, and
+softmax and :func:`layer_norm` one row-sum rule. Rows here hold 16 to 41
+values, where numpy's last-axis ``sum``, ``mean`` and ``max`` cost more
+than the arithmetic they guard, so a row sum is one BLAS product with a
+ones vector, and softmax shifts each trailing matrix by its one max (any
+shift that does not overflow gives the same softmax), redoing with its own
+max only a row whose exponentials then sum below ``sqrt(tiny)``. Sums
+accumulate in BLAS order, so they agree with numpy's to rounding, not bit
+for bit; a fused op and its composite share the rule and stay bit-equal. A
 parameter is broadcast as it is, with no ``reshape`` node in front. A train
 step on ``epic-kitchens-like`` records 134 nodes (64 in its 8 blocks), one
 on ``ego4d-ar-like`` 138, and a masked-autoencoder step 166.
@@ -489,17 +497,46 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record(out)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, shaped (..., 1): one BLAS product with a
+    ones vector, several times faster than ``sum(axis=-1)`` on short rows."""
+    n = a.shape[-1]
+    s = a.reshape(-1, n) @ np.ones(n, dtype=a.dtype)
+    return s.reshape(a.shape[:-1] + (1,))
+
+
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Last-axis softmax of ``a``, in place, stabilized by max subtraction."""
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
-    return a
+    """Last-axis softmax of ``a`` into a fresh array; ``a`` (C-contiguous,
+    owned by the caller) is shifted in place.
+
+    Each trailing matrix (a 1-D ``a`` as a whole) is shifted by its own
+    max, one contiguous reduction instead of one per row. A row whose
+    exponentials then sum below ``sqrt(tiny)`` of the dtype is shifted
+    again by its own max and recomputed (the guard), so no row sums to
+    zero. In every other row an entry lost to underflow lies below
+    ``sqrt(tiny)`` of the row's sum, far below rounding, and the shift
+    rounds a logit to about eps times its distance from the matrix max,
+    the size of the logit's own rounding.
+    """
+    a -= a.max(axis=(-2, -1) if a.ndim > 1 else -1, keepdims=True)
+    y = np.exp(a)
+    s = _row_sums(y)
+    low = np.flatnonzero(s < math.sqrt(np.finfo(a.dtype).tiny))
+    if low.size:
+        n = a.shape[-1]
+        rows = a.reshape(-1, n)[low]
+        rows -= rows.max(axis=-1, keepdims=True)
+        np.exp(rows, out=rows)
+        y.reshape(-1, n)[low] = rows
+        s.reshape(-1, 1)[low] = _row_sums(rows)
+    y /= s
+    return y
 
 
 def _softmax_rows_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Softmax backward in place on ``g``, for output ``y``: y (g - sum(g y))."""
-    g -= (g * y).sum(axis=-1, keepdims=True)
+    """Softmax backward in place on ``g``, for output ``y``: y (g - sum(g y)),
+    with the row sums taken as in :func:`_row_sums`."""
+    g -= _row_sums(g * y)
     g *= y
     return g
 
@@ -534,17 +571,19 @@ def log_softmax(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine.
 
-    Temporaries are reused in place; forward keeps only ``xhat`` and the
-    per-row inverse deviation for backward.
+    Its two forward and two backward means are :func:`_row_sums` divided
+    by the width. Temporaries are reused in place; forward keeps only
+    ``xhat`` and the per-row inverse deviation for backward.
     """
-    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} "
-            f"do not match last axis {x.shape[-1]}"
+            f"do not match last axis {d}"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - _row_sums(x.data) / d
     y = xhat * xhat
-    inv = y.mean(axis=-1, keepdims=True)
+    inv = _row_sums(y) / d
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -555,9 +594,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         gh = g * gain.data
-        m1 = gh.mean(axis=-1, keepdims=True)
+        m1 = _row_sums(gh) / d
         tmp = gh * xhat
-        m2 = tmp.mean(axis=-1, keepdims=True)
+        m2 = _row_sums(tmp) / d
         gh -= m1
         gh -= np.multiply(xhat, m2, out=tmp)
         gh *= inv
@@ -598,7 +637,7 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
     # the same arithmetic as softmax(scale(matmul(q, k^T), s)) @ v
     att = q @ np.swapaxes(k, -1, -2)
     att *= s
-    _softmax_rows(att)
+    att = _softmax_rows(att)
     merged = np.empty(qkv.shape[:-1] + (d,), dtype=qkv.data.dtype)
     np.matmul(att, v, out=_split_heads(merged, 1, heads)[0])
     out = Tensor(merged, (qkv,))

@@ -249,9 +249,9 @@ def cmd_sweep(args) -> int:
     grid = _parse_rates(args.grid)
     if not grid:
         raise ConfigError("--grid must list at least one value")
-    # reject a bad grid before anything is written: _apply_axis builds each
-    # cell's config, whose RunConfig checks an r_train value's feasibility,
-    # and two values with one cell name would share a cell
+    # reject a bad grid or thread cap before anything is written: _apply_axis
+    # builds each cell's config, whose RunConfig checks an r_train value's
+    # feasibility, and two values with one cell name would share a cell
     names: dict[str, float] = {}
     for value in grid:
         _apply_axis(cfg, axis, value)
@@ -260,6 +260,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--grid values {names[name]} and {value} both name the cell {name}")
         names[name] = value
     method = SubstitutionMethod.parse(cfg.eval.method)
+    workers = _thread_cap()
     out = _prepare_out(cfg)
 
     pending = [
@@ -268,7 +269,6 @@ def cmd_sweep(args) -> int:
         for seed in cfg.seeds
         if not _cell_dir(out, axis, value, seed).joinpath("model.ckpt").exists()
     ]
-    workers = _thread_cap()
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_ensure_cell_model, *zip(*pending)))

@@ -129,22 +129,26 @@ class MetricsTable:
 
     ``r_test`` is stored as a percentage. Floats are written with fixed
     precision and rows are sorted on save, so two runs that computed the
-    same numbers produce byte-identical files. Add rows through
-    :meth:`add`: :meth:`has` answers from a key set that ``add`` and the
-    constructor keep, so a resumed sweep's checks stay constant-time.
+    same numbers produce byte-identical files. Every row, loaded or
+    computed, goes through :meth:`add`, which checks it and keeps the key
+    set that :meth:`has` answers from, so a resumed sweep's checks stay
+    constant-time.
     """
 
     HEADER = "method,r_test,head,seed,accuracy,n"
 
-    def __init__(self, rows: list[tuple] | None = None):
-        self.rows: list[tuple] = list(rows or [])
-        self._keys = {self._key(*row[:4]) for row in self.rows}
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self._keys: set[tuple] = set()
 
     def add(self, method: str, r_test: float, head: str, seed: int, accuracy: float, n: int):
         if not 0.0 <= accuracy <= 1.0:
             raise DataError(f"accuracy {accuracy} outside [0, 1]")
+        key = self._key(method, r_test, head, seed)
+        if key in self._keys:
+            raise DataError(f"a row for (method, r_test, head, seed) {key} already exists")
         self.rows.append((str(method), float(r_test), str(head), int(seed), float(accuracy), int(n)))
-        self._keys.add(self._key(method, r_test, head, seed))
+        self._keys.add(key)
 
     def has(self, method: str, r_test: float, head: str, seed: int) -> bool:
         """Whether a row exists for this cell and head; rows are matched as
@@ -179,14 +183,16 @@ class MetricsTable:
             lines = [ln.strip() for ln in f if ln.strip()]
         if not lines or lines[0] != cls.HEADER:
             raise DataError(f"{path}: missing metrics header {cls.HEADER!r}")
-        rows = []
+        table = cls()
         for ln in lines[1:]:
             try:
                 m, r, h, s, acc, n = ln.split(",")
-                rows.append((m, float(r), h, int(s), float(acc), int(n)))
+                table.add(m, float(r), h, int(s), float(acc), int(n))
+            except DataError as e:
+                raise DataError(f"{path}: row {ln!r}: {e}") from None
             except ValueError:
                 raise DataError(f"{path}: malformed row {ln!r}") from None
-        return cls(rows)
+        return table
 
 
 def sweep(cells: list[dict], run_cell, table: MetricsTable, path: str) -> MetricsTable:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,40 @@ def test_softmax_large_logits_stable():
     np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-300)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_matches_a_float64_row_max_reference(dtype):
+    # rows are shifted by their matrix's max, which rounds each logit to
+    # about eps times its distance from that max; a row still above the
+    # guard lies at most -log(guard) below it (44 in float32, 354 in float64)
+    guard = math.sqrt(np.finfo(dtype).tiny)
+    tol = np.finfo(dtype).eps * -math.log(guard)
+    rng = np.random.default_rng(21)
+    x = 3 * rng.standard_normal((2, 3, 6, 6))
+    x[0, 1, 2] = 0.5  # a constant row
+    # rows far below their matrix's max: each matrix shift leaves their
+    # exponentials summing below the guard (200 does so in float32 only)
+    x[1, 0, 4] = x[1, 0].max() - 200 + rng.standard_normal(6)
+    x[1, 2, 1] = x[1, 2].max() - 1000 + rng.standard_normal(6)
+    x2 = 3 * rng.standard_normal((5, 7))
+    x2[3] = x2.max() - 200 + rng.standard_normal(7)
+    guarded = 0
+    for a in (x, x2, 3 * rng.standard_normal(7)):
+        a = a.astype(dtype)
+        wide = a.astype(np.float64)
+        if a.ndim > 1:
+            shifted = wide - wide.max(axis=(-2, -1), keepdims=True)
+            guarded += int((np.exp(shifted.astype(dtype)).sum(axis=-1) < guard).sum())
+        e = np.exp(wide - wide.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = ad.softmax(Tensor(a)).data
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=tol)
+    constant = ad.softmax(Tensor(x.astype(dtype))).data[0, 1, 2]
+    assert np.all(constant == constant[0])
+    assert guarded == (3 if dtype == np.float32 else 1)
+
+
 def test_log_softmax_matches_log_of_softmax():
     x = np.array([[0.3, -1.2, 2.0], [5.0, 5.0, 5.0]])
     a = ad.log_softmax(Tensor(x)).data
@@ -72,23 +108,28 @@ def test_layer_norm_shape_mismatch_raises():
         ad.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
-def test_layer_norm_in_place_matches_plain_expression_exactly():
+def test_layer_norm_in_place_matches_the_float64_expression():
+    # the means are BLAS row sums, so they round in BLAS order, not numpy's
     rng = np.random.default_rng(13)
-    x, g = rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 5, 8))
-    gain, bias = rng.standard_normal(8), rng.standard_normal(8)
-    xt, gt, bt = Tensor(x), Tensor(gain), Tensor(bias)
-    with Tape() as tape:
-        out = ad.layer_norm(xt, gt, bt)
-        tape.backward(ad.sum_(ad.mul(out, Tensor(g))))
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
-    xhat = xc * inv
-    gh = g * gain
-    dx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-    np.testing.assert_array_equal(out.data, xhat * gain + bias)
-    np.testing.assert_array_equal(xt.grad, dx)
-    np.testing.assert_array_equal(gt.grad, (g * xhat).sum(axis=(0, 1)))
-    np.testing.assert_array_equal(bt.grad, g.sum(axis=(0, 1)))
+    inputs = (rng.standard_normal((3, 5, 8)), rng.standard_normal((3, 5, 8)))
+    inputs += (rng.standard_normal(8), rng.standard_normal(8))
+    for dtype in (np.float32, np.float64):
+        tol = 8 * np.finfo(dtype).eps
+        xt, g_out, gt, bt = (Tensor(a.astype(dtype)) for a in inputs)
+        with Tape() as tape:
+            out = ad.layer_norm(xt, gt, bt)
+            tape.backward(ad.sum_(ad.mul(out, g_out)))
+        # the same values, widened exactly
+        x, g, gain, bias = (t.data.astype(np.float64) for t in (xt, g_out, gt, bt))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gh = g * gain
+        dx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        want = (xhat * gain + bias, dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))
+        for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
 
 
 def test_gelu_reference_points():

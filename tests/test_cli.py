@@ -531,6 +531,16 @@ def test_sweep_with_a_bad_grid_creates_nothing(tmp_path, capsys, axis, grid):
     assert not out.exists()
 
 
+def test_sweep_with_a_bad_thread_cap_creates_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MMTLAB_THREADS", "two")
+    out = tmp_path / "fresh"
+    path = write_cfg(tmp_path)
+    assert main(["sweep", "--config", path, "--out", str(out), "--axis", "p", "--grid", "0"]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError" and "MMTLAB_THREADS" in record["message"]
+    assert not out.exists()
+
+
 def test_eval_rejects_a_checkpoint_without_a_token_bank(tmp_path, capsys):
     path = write_cfg(tmp_path)
     assert main(["train", "--config", path]) == 0
@@ -617,8 +627,10 @@ def test_reports_need_rows():
         "mmt,50,A,1,half,10",
         "mmt,50,A,1,0.5,1e1",
         "mmt,50,A,1,0.5",
+        "mmt,50,A,1,1.5,10",
+        "mmt,0.0,A,1,0.2,10",
     ],
-    ids=["r_test", "seed", "accuracy", "n", "short"],
+    ids=["r_test", "seed", "accuracy", "n", "short", "accuracy-range", "repeated-key"],
 )
 def test_report_on_a_malformed_metrics_row_yields_error_record(tmp_path, capsys, row):
     metrics = tmp_path / "metrics.csv"
