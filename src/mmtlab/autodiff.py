@@ -41,7 +41,11 @@ heads, two ``matmul``, ``scale``, ``softmax``), whose backward mostly
 zero-filled and copied ``qkv``-sized buffers; with the fused ops a block
 records 8 nodes instead of 26. They do the same arithmetic in the same
 order as the composite, so results are bit for bit the same. The
-primitives stay public and gradchecked.
+primitives stay public and gradchecked. Attention's ``rows`` argument
+scores queries only at the given sequence rows, as CaiT's class-attention
+layers do (Touvron et al., arXiv:2103.17239); the classifier's last block
+uses it to compute only the CLS rows its readout reads, and it equals a
+composite that gathers the same query rows, bit for bit.
 
 Each rule is written once: :func:`softmax` and :func:`multi_head_attention`
 share the last-axis softmax and its backward, :func:`gelu` and :func:`mlp`
@@ -55,8 +59,10 @@ max only a row whose exponentials then sum below ``sqrt(tiny)``. Sums
 accumulate in BLAS order, so they agree with numpy's to rounding, not bit
 for bit; a fused op and its composite share the rule and stay bit-equal. A
 parameter is broadcast as it is, with no ``reshape`` node in front. A train
-step on ``epic-kitchens-like`` records 134 nodes (64 in its 8 blocks), one
-on ``ego4d-ar-like`` 138, and a masked-autoencoder step 166.
+step on ``epic-kitchens-like`` records 126 nodes (66 in its 8 blocks: the
+last layer's two add a row select), one on ``ego4d-ar-like`` 130, and a
+masked-autoencoder step 162. No node is recorded that the loss does not
+read.
 """
 
 from __future__ import annotations
@@ -616,7 +622,7 @@ def _split_heads(a: np.ndarray, parts: int, heads: int) -> list[np.ndarray]:
     return [np.swapaxes(r[..., i, :, :], -2, -3) for i in range(parts)]
 
 
-def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
+def multi_head_attention(qkv: Tensor, heads: int, rows: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention per head, heads merged back.
 
     ``qkv`` is the packed (..., n, 3d) projection: queries, keys and values
@@ -625,6 +631,12 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
     splitting and merging are views, so the tape gets one node, and the
     backward writes dq, dk and dv into one fresh ``qkv``-shaped buffer. The
     softmax probabilities are kept for backward.
+
+    ``rows``, a 1-D array of sequence positions, scores queries only at
+    those rows, against every key, and returns (..., len(rows), d). The
+    query rows are copied out of ``qkv`` before the heads are split, and
+    backward writes dq at ``rows`` and zero elsewhere, dk and dv at every
+    row.
     """
     width = qkv.shape[-1]
     if width % 3 != 0:
@@ -634,11 +646,16 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
         raise ConfigError(f"embedding dim {d} not divisible by {heads} heads")
     s = 1.0 / math.sqrt(d // heads)
     q, k, v = _split_heads(qkv.data, 3, heads)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or np.unique(rows).size != rows.size:
+            raise DimensionError(f"attention: rows must be distinct and 1-D, got {rows}")
+        q = _split_heads(qkv.data[..., rows, :d], 1, heads)[0]
     # the same arithmetic as softmax(scale(matmul(q, k^T), s)) @ v
     att = q @ np.swapaxes(k, -1, -2)
     att *= s
     att = _softmax_rows(att)
-    merged = np.empty(qkv.shape[:-1] + (d,), dtype=qkv.data.dtype)
+    merged = np.empty(qkv.shape[:-2] + (att.shape[-2], d), dtype=qkv.data.dtype)
     np.matmul(att, v, out=_split_heads(merged, 1, heads)[0])
     out = Tensor(merged, (qkv,))
 
@@ -650,7 +667,11 @@ def multi_head_attention(qkv: Tensor, heads: int) -> Tensor:
         ds = gm @ np.swapaxes(v, -1, -2)
         _softmax_rows_grad(ds, att)
         ds *= s
-        np.matmul(ds, k, out=dq)
+        if rows is None:
+            np.matmul(ds, k, out=dq)
+        else:
+            dq[...] = 0.0
+            dq[..., rows, :] = ds @ k
         dk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
         qkv.accumulate_owned(dqkv)
 

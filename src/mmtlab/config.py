@@ -76,6 +76,10 @@ class EvalConfig:
             labels[label] = r
 
 
+# seeds key 64-bit random streams (see mmtlab.rng.derive_key)
+_SEED_SPAN = 1 << 64
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs, resolved and validated."""
@@ -93,6 +97,15 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("need at least one sweep seed")
+        for what, seed in [("seed", self.seed)] + [("seeds", s) for s in self.seeds]:
+            if not 0 <= seed < _SEED_SPAN:
+                raise ConfigError(
+                    f"{what}: {seed} is outside [0, 2**64); random streams take seeds "
+                    f"modulo 2**64, so it would run seed {seed % _SEED_SPAN}"
+                )
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds: {repeated} appear more than once; each seed names one run")
         eval_rates = [r / 100.0 for r in self.eval.rates]
         check_feasible_rates(self, "eval.rates", self.eval.missing, eval_rates, self.data.n_test)
         for m, rate in self.train.induced_missing.items():

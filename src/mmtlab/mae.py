@@ -193,7 +193,7 @@ def mae_forward(
     for m in present:
         vis, _ = masks[m]
         seqs[m] = with_cls_and_pos(params, m, embed_content(params, m, patches[m], vis), vis)
-    feats = encode_sequences(params, seqs)
+    feats = encode_sequences(params, seqs)  # every row: the decoders read each token
 
     recons: dict[str, Tensor] = {}
     losses: dict[str, Tensor] = {}

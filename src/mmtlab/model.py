@@ -4,13 +4,20 @@ Each modality owns an unshared stack of pre-norm transformer blocks. Layers
 below ``fusion_layer`` run independently. From ``fusion_layer`` on, every
 block sees its modality's sequence with a small set of shared bottleneck
 tokens appended; each block emits an updated copy of those tokens and the
-copies are averaged across modalities before the next layer. All cross-modal
-traffic flows through that bottleneck. ``fusion_layer = 0`` exchanges at
-every layer, ``fusion_layer = layers`` never exchanges.
+copies are averaged across modalities before the next layer (the last
+layer's copies are read by nothing and not built). All cross-modal traffic
+flows through that bottleneck. ``fusion_layer = 0`` exchanges at every
+layer, ``fusion_layer = layers`` never exchanges.
 
-Readout takes each modality's CLS vector through a per-modality linear head
-for every classification task and averages the logits over the modalities
-that took part.
+Readout takes each modality's CLS vector through its output norm, once,
+and a per-modality linear head for every classification task, and averages
+the logits over the modalities that took part. Since nothing else is read,
+the classifier's last layer computes only the CLS rows, as CaiT's
+class-attention layers do (Touvron et al., arXiv:2103.17239): every row
+still gives keys and values, but only CLS queries are scored, and the
+output projection, second norm and MLP run on CLS alone. Masked
+pretraining encodes through :func:`encode_sequences` without ``rows``, so
+its decoders read every token.
 
 ``ModelConfig.arch`` names the forward pass, and :func:`forward` is the one
 place that dispatches on it. Besides ``bottleneck`` there are the paper's
@@ -70,6 +77,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {self.heads} heads")
+        if self.layers < 1:
+            raise ConfigError("need at least one layer: without one no CLS row sees a token")
         if not 0 <= self.fusion_layer <= self.layers:
             raise ConfigError(
                 f"fusion_layer {self.fusion_layer} outside [0, {self.layers}]"
@@ -230,16 +239,26 @@ def init_block(t: dict, prefix: str, d: int, hidden: int, normal) -> None:
     t[f"{prefix}.mlp.b2"] = zeros(d)
 
 
-def run_block(p, prefix: str, x: Tensor, heads: int, eps: float) -> Tensor:
+def run_block(
+    p, prefix: str, x: Tensor, heads: int, eps: float, rows: np.ndarray | None = None
+) -> Tensor:
     """Pre-norm transformer block: attention then MLP, both residual.
 
     ``p`` is anything indexable by dotted parameter name; the pretraining
     decoders reuse this with their own (smaller) widths, which the ops read
     from the parameters.
+
+    ``rows``, a 1-D array of positions in the (batch, n, d) input, keeps
+    only those rows of the residual stream: every row still supplies keys
+    and values, but queries, the output projection, the second layer norm
+    and the MLP run on ``rows`` alone, and the block returns
+    (batch, len(rows), d).
     """
     h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
     h = ad.linear(h, p[f"{prefix}.wqkv"], p[f"{prefix}.bqkv"])
-    h = ad.multi_head_attention(h, heads)
+    h = ad.multi_head_attention(h, heads, rows)
+    if rows is not None:
+        x = ad.gather_rows(x, np.broadcast_to(rows, (x.shape[0], len(rows))))
     x = ad.add(x, ad.linear(h, p[f"{prefix}.wo"], p[f"{prefix}.bo"]))
     h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
     h = ad.mlp(
@@ -252,9 +271,9 @@ def run_block(p, prefix: str, x: Tensor, heads: int, eps: float) -> Tensor:
     return ad.add(x, h)
 
 
-def _block(p: MbtParameters, prefix: str, x: Tensor) -> Tensor:
+def _block(p: MbtParameters, prefix: str, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
     cfg = p.config
-    return run_block(p, prefix, x, cfg.heads, cfg.ln_eps)
+    return run_block(p, prefix, x, cfg.heads, cfg.ln_eps, rows)
 
 
 def embed_content(
@@ -307,35 +326,55 @@ def _average(parts: list[Tensor]) -> Tensor:
     return ad.scale(acc, 1.0 / len(parts))
 
 
-def _readout(p: MbtParameters, feats: dict[str, Tensor]) -> list[Tensor]:
-    """Each modality's CLS row, selected once, goes through the output norm
-    and linear layer of every head; logits average over the modalities."""
-    d = p.config.embed_dim
-    cls = {m: ad.reshape(ad.narrow(x, 1, 0, 1), (x.shape[0], d)) for m, x in feats.items()}
+# the readout's rows: each modality's CLS token, first in its sequence
+_CLS_ROWS = np.zeros(1, dtype=np.int64)
+
+
+def _readout(p: MbtParameters, cls: dict[str, Tensor]) -> list[Tensor]:
+    """Each modality's (batch, 1, d) CLS row goes through its output norm
+    once and the linear layer of every head; logits average over the
+    modalities."""
+    cfg = p.config
+    normed = {
+        m: ad.layer_norm(
+            ad.reshape(c, (c.shape[0], cfg.embed_dim)),
+            p[f"{m}.out_ln.g"],
+            p[f"{m}.out_ln.b"],
+            eps=cfg.ln_eps,
+        )
+        for m, c in cls.items()
+    }
     logits: list[Tensor] = []
-    for h in range(len(p.config.n_classes)):
-        parts = []
-        for m, c in cls.items():
-            c = ad.layer_norm(c, p[f"{m}.out_ln.g"], p[f"{m}.out_ln.b"], eps=p.config.ln_eps)
-            parts.append(ad.linear(c, p[f"{m}.head.{h}.w"], p[f"{m}.head.{h}.b"]))
+    for h in range(len(cfg.n_classes)):
+        parts = [ad.linear(c, p[f"{m}.head.{h}.w"], p[f"{m}.head.{h}.b"]) for m, c in normed.items()]
         logits.append(_average(parts))
     return logits
 
 
-def _run_stacks(p: MbtParameters, x: dict[str, Tensor], layers: range) -> dict[str, Tensor]:
-    """Each modality through its own blocks at ``layers``, no exchange."""
+def _run_stacks(
+    p: MbtParameters, x: dict[str, Tensor], layers: range, rows: np.ndarray | None = None
+) -> dict[str, Tensor]:
+    """Each modality through its own blocks at ``layers``, no exchange; the
+    last of them keeps only ``rows`` when given."""
     for l in layers:
-        x = {m: _block(p, f"{m}.layers.{l}", x[m]) for m in x}
+        keep = rows if l == layers[-1] else None
+        x = {m: _block(p, f"{m}.layers.{l}", x[m], keep) for m in x}
     return x
 
 
-def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor]:
+def encode_sequences(
+    p: MbtParameters, x: dict[str, Tensor], rows: np.ndarray | None = None
+) -> dict[str, Tensor]:
     """Run the modality stacks with bottleneck exchange on built sequences.
 
     ``x`` maps modality name to (batch, seq, dim) sequences that already
     carry CLS and positions. Sequence lengths may be shorter than the full
     token count; that is how masked pretraining encodes only the visible
-    tokens. Returns the final sequences (bottleneck rows stripped).
+    tokens. Returns the final sequences (bottleneck rows stripped). With
+    ``rows``, a 1-D array of positions in each modality's sequence, the
+    last layer computes and returns only those rows; the classifier passes
+    its CLS row. Nothing reads the last layer's bottleneck, so it is not
+    kept.
     """
     cfg = p.config
     if not x:
@@ -343,19 +382,22 @@ def encode_sequences(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor
     present = [m for m in MODALITIES if m in x]
     x = {m: x[m] for m in present}
     batch = x[present[0]].shape[0]
+    fused = range(cfg.fusion_layer, cfg.layers)
 
-    x = _run_stacks(p, x, range(min(cfg.fusion_layer, cfg.layers)))
+    x = _run_stacks(p, x, range(cfg.fusion_layer), None if fused else rows)
 
-    if cfg.fusion_layer < cfg.layers:
+    if fused:
         z = ad.broadcast_to(p["z"], (batch, cfg.bottleneck, cfg.embed_dim))
-        for l in range(cfg.fusion_layer, cfg.layers):
-            zhats = []
-            for m in present:
-                seq = ad.concat([x[m], z], axis=1)
-                out = _block(p, f"{m}.layers.{l}", seq)
-                n = seq.shape[1] - cfg.bottleneck
-                x[m] = ad.narrow(out, 1, 0, n)
+    for l in fused:
+        keep = rows if l == fused[-1] else None
+        zhats = []
+        for m in present:
+            n = x[m].shape[1]
+            out = _block(p, f"{m}.layers.{l}", ad.concat([x[m], z], axis=1), keep)
+            x[m] = out if keep is not None else ad.narrow(out, 1, 0, n)
+            if l < fused[-1]:  # nothing reads the last layer's bottleneck
                 zhats.append(ad.narrow(out, 1, n, cfg.bottleneck))
+        if zhats:
             z = _average(zhats)
 
     return x
@@ -367,21 +409,22 @@ def _encode_full_sa(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor]
     Layers below ``fusion_layer`` run per modality as usual; from there the
     sequences of the modalities present are joined and the audio-stack
     blocks process every token jointly (the video stack's upper blocks are
-    simply unused in this mode). No bottleneck tokens take part.
+    simply unused in this mode). No bottleneck tokens take part. Returns
+    each modality's (batch, 1, d) CLS row: the last layer computes only the
+    CLS positions of whatever sequence it reads.
     """
     cfg = p.config
-    x = _run_stacks(p, x, range(min(cfg.fusion_layer, cfg.layers)))
+    fused = range(cfg.fusion_layer, cfg.layers)
+    x = _run_stacks(p, x, range(cfg.fusion_layer), None if fused else _CLS_ROWS)
+    if not fused:
+        return x
 
-    if cfg.fusion_layer < cfg.layers:
-        joint = ad.concat(list(x.values()), axis=1)
-        for l in range(cfg.fusion_layer, cfg.layers):
-            joint = _block(p, f"{MODALITIES[0]}.layers.{l}", joint)
-        offset = 0
-        for m, seq in x.items():
-            x[m] = ad.narrow(joint, 1, offset, seq.shape[1])
-            offset += seq.shape[1]
-
-    return x
+    starts = np.cumsum([0] + [seq.shape[1] for seq in x.values()])[:-1]
+    joint = ad.concat(list(x.values()), axis=1)
+    for l in fused:
+        rows = starts if l == fused[-1] else None
+        joint = _block(p, f"{MODALITIES[0]}.layers.{l}", joint, rows)
+    return {m: ad.narrow(joint, 1, i, 1) for i, m in enumerate(x)}
 
 
 def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
@@ -397,6 +440,11 @@ def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
     is the evaluation path for samples whose other modality is skipped.
     Full self-attention joins whichever are present; a unimodal arch runs
     its one stack.
+
+    The readout reads only each modality's CLS row, so the last layer of
+    every arch computes only those rows (the CLS query of each sequence,
+    both CLS positions of the joint one); the layers below it run every
+    row, because the last layer's keys and values need them.
     """
     cfg = p.config
     present = [m for m in cfg.input_modalities if m in content]
@@ -406,12 +454,12 @@ def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
         )
     x = {m: with_cls_and_pos(p, m, content[m]) for m in present}
     if cfg.arch == "bottleneck":
-        x = encode_sequences(p, x)
+        cls = encode_sequences(p, x, _CLS_ROWS)
     elif cfg.arch == "full_sa":
-        x = _encode_full_sa(p, x)
+        cls = _encode_full_sa(p, x)
     else:
-        x = _run_stacks(p, x, range(cfg.layers))
-    return _readout(p, x)
+        cls = _run_stacks(p, x, range(cfg.layers), _CLS_ROWS)
+    return _readout(p, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +473,10 @@ def attention_pairs_per_layer(cfg: ModelConfig) -> list[int]:
     The bottleneck arch runs one attention per modality over its own
     sequence (plus bottleneck tokens at fused layers); full self-attention
     runs one attention over the concatenation at fused layers; a unimodal
-    arch runs its one stream.
+    arch runs its one stream. This counts the full-sequence encoder, every
+    query at every layer, as in the paper's comparison of bottleneck and
+    full attention (demo 04); the classifier's last layer, which scores
+    only the CLS queries, does less.
     """
     lens = [cfg.tokens(m) + 1 for m in cfg.input_modalities]
     counts = []

@@ -44,13 +44,20 @@ def micro_model_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def reference_attention(qkv, heads: int):
+def select_rows(x, rows):
+    """Rows ``rows`` (1-D) of every sample of a (batch, n, d) tensor, as one
+    ``gather_rows``."""
+    return ad.gather_rows(x, np.broadcast_to(rows, (x.shape[0], len(rows))))
+
+
+def reference_attention(qkv, heads: int, rows=None):
     """Packed multi-head attention built from autodiff primitives.
 
-    Narrows q, k and v out of the (..., n, 3d) projection, splits heads
+    Narrows q, k and v out of the (batch, n, 3d) projection, splits heads
     with reshape/transpose, then matmul/scale/softmax/matmul and merges the
     heads back: the unfused composite that ``ad.multi_head_attention``
-    must reproduce bit for bit.
+    must reproduce bit for bit. With ``rows``, the queries are those rows
+    of q, selected before the heads are split.
     """
     d = qkv.shape[-1] // 3
     hd = d // heads
@@ -62,21 +69,26 @@ def reference_attention(qkv, heads: int):
         order = tuple(range(r.data.ndim))
         return ad.transpose(r, order[:-3] + (order[-2], order[-3], order[-1]))
 
-    qh, kh, vh = (split(ad.narrow(qkv, -1, i * d, d)) for i in range(3))
+    q, k, v = (ad.narrow(qkv, -1, i * d, d) for i in range(3))
+    if rows is not None:
+        q = select_rows(q, rows)
+    qh, kh, vh = split(q), split(k), split(v)
     nd = kh.data.ndim
     kt = ad.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
     att = ad.softmax(ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(hd)))
     mixed = ad.matmul(att, vh)  # (..., heads, n, hd)
     order = tuple(range(mixed.data.ndim))
     merged = ad.transpose(mixed, order[:-3] + (order[-2], order[-3], order[-1]))
-    return ad.reshape(merged, qkv.shape[:-1] + (d,))
+    return ad.reshape(merged, merged.shape[:-2] + (d,))
 
 
-def reference_block(p, prefix: str, x, heads: int, eps: float):
+def reference_block(p, prefix: str, x, heads: int, eps: float, rows=None):
     """``model.run_block`` built from autodiff primitives, without fused ops."""
     h = ad.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"], eps=eps)
     qkv = ad.linear(h, p[f"{prefix}.wqkv"], p[f"{prefix}.bqkv"])
-    att = ad.linear(reference_attention(qkv, heads), p[f"{prefix}.wo"])
+    att = ad.linear(reference_attention(qkv, heads, rows), p[f"{prefix}.wo"])
+    if rows is not None:
+        x = select_rows(x, rows)
     x = ad.add(x, ad.add(att, p[f"{prefix}.bo"]))
     h = ad.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"], eps=eps)
     h = ad.linear(h, p[f"{prefix}.mlp.w1"], p[f"{prefix}.mlp.b1"])
@@ -123,3 +135,28 @@ def record_dtypes(monkeypatch) -> set:
     monkeypatch.setattr(Tape, "backward", spy_backward)
     monkeypatch.setattr(AdamW, "step", spy_step)
     return seen
+
+
+def record_dead_nodes(monkeypatch) -> list:
+    """Spy on ``Tape.backward`` for the rest of a test.
+
+    Before each backward, the returned list gets the op names of the tape
+    nodes that the loss does not depend on, found by walking the graph
+    back from the loss: work recorded for nothing.
+    """
+    dead = []
+    backward = Tape.backward
+
+    def spy(tape, loss):
+        live, stack = set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in live:
+                live.add(id(t))
+                stack.extend(t.inputs)
+        unread = [n for n in tape.nodes if id(n) not in live]
+        dead.append([n._backward.__qualname__.split(".")[0] for n in unread])
+        backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    return dead

@@ -572,6 +572,51 @@ def test_attention_equals_the_softmax_composite_bit_for_bit(heads, dtype):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("rows", [[0], [0, 3], [4, 1, 2]], ids=str)
+def test_attention_on_rows_equals_the_row_selecting_composite_bit_for_bit(rows, heads, dtype):
+    # the composite gathers the query rows before splitting heads; the
+    # fused op must score the same rows, forward and qkv gradient exactly
+    rng = np.random.default_rng(17)
+    b, n, d = 3, 5, 4 * heads
+    rows = np.array(rows)
+    qkv = rng.standard_normal((b, n, 3 * d)).astype(dtype)
+    w = rng.standard_normal((b, len(rows), d)).astype(dtype)
+
+    def run(op):
+        x = Tensor(qkv.copy())
+        with Tape() as tape:
+            out = op(x, heads, rows)
+            tape.backward(ad.sum_(ad.mul(out, Tensor(w))))
+        return out.data, x.grad
+
+    (out, grad), (ref_out, ref_grad) = run(ad.multi_head_attention), run(reference_attention)
+    assert out.shape == (b, len(rows), d) and out.dtype == dtype
+    assert out.tobytes() == ref_out.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    # no query is scored outside rows, so dq is zero there; keys and values
+    # take gradient at every row
+    others = np.setdiff1d(np.arange(n), rows)
+    assert not grad[:, others, :d].any()
+    assert grad[:, :, d:].any(axis=(0, 2)).all()
+
+
+def test_attention_on_all_rows_equals_the_plain_op():
+    rng = np.random.default_rng(18)
+    qkv = rng.standard_normal((2, 5, 24))
+    full = ad.multi_head_attention(Tensor(qkv), 2).data
+    picked = ad.multi_head_attention(Tensor(qkv), 2, np.array([3, 0])).data
+    np.testing.assert_allclose(picked, full[:, [3, 0]], rtol=0, atol=1e-14)
+
+
+def test_attention_rows_must_be_distinct_and_one_dimensional():
+    qkv = Tensor(np.zeros((1, 4, 6)))
+    for rows in ([0, 0], [[0, 1]]):
+        with pytest.raises(DimensionError, match="rows"):
+            ad.multi_head_attention(qkv, 1, np.array(rows))
+
+
 def test_grad_narrow_pieces_add_into_one_gradient():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((2, 4, 3))
@@ -604,6 +649,20 @@ def test_grad_attention_multi_head():
         w = rng.standard_normal((b, n, d))  # weights outputs unevenly, as a downstream projection would
         _check(
             lambda t: ad.mean(ad.mul(ad.multi_head_attention(t, heads=heads), Tensor(w))),
+            [qkv],
+            tol=1e-4,
+        )
+
+
+def test_grad_attention_on_rows():
+    rng = np.random.default_rng(11)
+    for (heads, (b, n, d)), rows in zip(_ATTENTION_GRID, ([2], [0, 3], [4, 0, 2])):
+        qkv = rng.standard_normal((b, n, 3 * d))
+        w = rng.standard_normal((b, len(rows), d))
+        _check(
+            lambda t: ad.mean(
+                ad.mul(ad.multi_head_attention(t, heads=heads, rows=np.array(rows)), Tensor(w))
+            ),
             [qkv],
             tol=1e-4,
         )

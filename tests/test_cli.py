@@ -398,6 +398,28 @@ def test_impossible_requests_fail_at_load_before_anything_is_written(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra, field",
+    [
+        ("sweep", {"seeds": [1, 1]}, "seeds"),
+        # the random streams key on seed mod 2**64: these alias 0 and 2**64 - 1
+        ("sweep", {"seeds": [0, 2**64]}, "seeds"),
+        ("sweep", {"seeds": [-1, 2]}, "seeds"),
+        ("train", {"seed": -1}, "seed"),
+        ("train", {"seed": 2**64}, "seed"),
+    ],
+)
+def test_seeds_that_name_one_run_twice_fail_at_load(tmp_path, capsys, command, extra, field):
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path, out=str(out), **extra)
+    sweep = ["--axis", "p", "--grid", "0"] if command == "sweep" else []
+    assert main([command, "--config", path, *sweep]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{field}: ")
+    assert not out.exists()
+
+
 def test_sweep_rejects_fractional_fusion_layers(tmp_path, capsys):
     path = write_cfg(tmp_path)
     code = main(["sweep", "--config", path, "--out", str(tmp_path / "x"), "--axis", "fusion_layer", "--grid", "0.5"])

@@ -27,7 +27,13 @@ from mmtlab.schema import decode
 from mmtlab.synthdata import generate
 from mmtlab.training import TrainConfig, train
 
-from helpers import float64_params, micro_model_config, micro_synth_config, record_dtypes
+from helpers import (
+    float64_params,
+    micro_model_config,
+    micro_synth_config,
+    record_dead_nodes,
+    record_dtypes,
+)
 
 
 def micro_mae_config(**overrides) -> MaeConfig:
@@ -390,9 +396,9 @@ def test_a_pretraining_step_runs_in_float32(monkeypatch):
 
 def test_one_micro_mae_step_records_a_pinned_number_of_tape_nodes(monkeypatch):
     # per modality: visible-token embed 1, CLS and positions 5, two encoder
-    # blocks of 8, fused-layer concat and narrows 3, and a decoder of 20 (one
-    # block); then the bottleneck 1, its average 2 and the loss sum 1. The
-    # graph that reshaped each parameter before broadcasting it recorded 101.
+    # blocks of 8, the fused layer's concat and narrow 2, and a decoder of 20
+    # (one block); then the bottleneck 1 and the loss sum 1. Averaging the
+    # last layer's bottleneck, which nothing read, took 4 more: 94.
     counts = []
     backward = Tape.backward
 
@@ -403,4 +409,11 @@ def test_one_micro_mae_step_records_a_pinned_number_of_tape_nodes(monkeypatch):
     monkeypatch.setattr(Tape, "backward", spy)
     ds, params, dec, acfg = setup_micro(n=16)
     mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=1)
-    assert counts == [94]
+    assert counts == [90]
+
+
+def test_a_pretraining_step_records_only_nodes_the_loss_reads(monkeypatch):
+    dead = record_dead_nodes(monkeypatch)
+    ds, params, dec, _ = setup_micro(n=16)
+    mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=1)
+    assert dead == [[]]

@@ -14,7 +14,7 @@ from mmtlab.missing import (
     substitute_skip,
     substitute_zeros,
 )
-from mmtlab.model import MbtParameters, embed_content
+from mmtlab.model import ARCHS, MbtParameters, embed_content, forward
 from mmtlab.rng import Stream
 
 from helpers import micro_model_config
@@ -118,6 +118,29 @@ def mmt_gradient_mask_check(batch: int = 6, tokens: int = 5, dim: int = 8, seed:
 def test_gradient_leak_check_reports_zero():
     report = mmt_gradient_mask_check()
     assert report == {"replaced_content_grad": 0.0, "idle_token_grad": 0.0}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_no_gradient_crosses_the_swap_through_the_classifier(arch):
+    # the whole forward, whose last block computes only the CLS rows, still
+    # sends exactly zero gradient into the content it swapped out
+    mcfg = micro_model_config(arch=arch, fusion_layer=0)
+    params = MbtParameters.init(mcfg, seed=3)
+    bank = MmtBank.init(mcfg.embed_dim, seed=3)
+    rng = np.random.default_rng(7)
+    replace = np.array([True, False, True, False])
+    embedded, content = {}, {}
+    with Tape() as tape:
+        for m in mcfg.input_modalities:
+            patches = rng.standard_normal((4, mcfg.tokens(m), mcfg.patch_dim(m)))
+            embedded[m] = embed_content(params, m, patches)
+            content[m] = replace_with_mmt(bank, m, embedded[m], replace)
+        logits = forward(params, content)
+        tape.backward(ad.add(ad.mean(logits[0]), ad.mean(logits[1])))
+    for m, emb in embedded.items():
+        assert np.all(emb.grad[replace] == 0.0), m
+        assert np.abs(emb.grad[~replace]).max() > 0.0, m
+        assert np.abs(bank[m].grad).max() > 0.0, m
 
 
 def test_zeros_substitution_zeroes_raw_patches_only():

@@ -15,12 +15,14 @@ from mmtlab.model import (
     attention_pairs,
     attention_pairs_per_layer,
     embed_content,
+    encode_sequences,
     forward,
     load_checkpoint,
     run_block,
     save_checkpoint,
     with_cls_and_pos,
 )
+from mmtlab.gradcheck import max_relative_error
 from mmtlab.schema import decode
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
 
@@ -95,7 +97,9 @@ def np_block(a, prefix, x, heads, eps):
 
 
 def np_forward(a, cfg: ModelConfig, content: dict[str, np.ndarray]) -> list[np.ndarray]:
-    present = [m for m in MODALITIES if m in content]
+    """Every arch's logits, running every row of every layer and picking
+    each CLS row after the last."""
+    present = [m for m in cfg.input_modalities if m in content]
     batch = content[present[0]].shape[0]
     x = {}
     for m in present:
@@ -103,9 +107,10 @@ def np_forward(a, cfg: ModelConfig, content: dict[str, np.ndarray]) -> list[np.n
         x[m] = np.concatenate([cls, content[m]], axis=1) + a[f"{m}.pos"]
     for l in range(cfg.fusion_layer):
         x = {m: np_block(a, f"{m}.layers.{l}", x[m], cfg.heads, cfg.ln_eps) for m in present}
-    if cfg.fusion_layer < cfg.layers:
+    fused = range(cfg.fusion_layer, cfg.layers)
+    if cfg.arch == "bottleneck" and fused:
         z = np.broadcast_to(a["z"], (batch, cfg.bottleneck, cfg.embed_dim))
-        for l in range(cfg.fusion_layer, cfg.layers):
+        for l in fused:
             zh = []
             for m in present:
                 seq = np.concatenate([x[m], z], axis=1)
@@ -114,6 +119,15 @@ def np_forward(a, cfg: ModelConfig, content: dict[str, np.ndarray]) -> list[np.n
                 x[m] = out[:, :n]
                 zh.append(out[:, n:])
             z = sum(zh) / len(zh)
+    elif cfg.arch == "full_sa" and fused:
+        joint = np.concatenate([x[m] for m in present], axis=1)
+        for l in fused:
+            joint = np_block(a, f"audio.layers.{l}", joint, cfg.heads, cfg.ln_eps)
+        cuts = np.cumsum([x[m].shape[1] for m in present])[:-1]
+        x = dict(zip(present, np.split(joint, cuts, axis=1)))
+    else:
+        for l in fused:
+            x = {m: np_block(a, f"{m}.layers.{l}", x[m], cfg.heads, cfg.ln_eps) for m in present}
     logits = []
     for h in range(len(cfg.n_classes)):
         parts = []
@@ -124,11 +138,27 @@ def np_forward(a, cfg: ModelConfig, content: dict[str, np.ndarray]) -> list[np.n
     return logits
 
 
-@pytest.mark.parametrize("fusion_layer", [0, 1, 2])
-def test_forward_matches_numpy_oracle(fusion_layer):
-    cfg = tiny_config(fusion_layer=fusion_layer)
+_ORACLE_CASES = [
+    pytest.param(fusion_layer, "bottleneck", MODALITIES, id=str(fusion_layer))
+    for fusion_layer in (0, 1, 2)
+] + [
+    pytest.param(fusion_layer, arch, MODALITIES, id=f"{arch}-{fusion_layer}")
+    for arch in ARCHS[1:]
+    for fusion_layer in (0, 1, 2)
+] + [
+    # bottleneck with video alone is test_single_modality_matches_oracle
+    pytest.param(1, arch, (m,), id=f"{arch}-1-{m}-alone")
+    for arch, m in [("bottleneck", "audio"), ("full_sa", "audio"), ("full_sa", "video")]
+]
+
+
+@pytest.mark.parametrize("fusion_layer, arch, present", _ORACLE_CASES)
+def test_forward_matches_numpy_oracle(fusion_layer, arch, present):
+    # the forward's last layer computes only the CLS rows; the oracle
+    # computes every row and picks CLS afterwards
+    cfg = tiny_config(fusion_layer=fusion_layer, arch=arch)
     p = float64_params(MbtParameters.init(cfg, seed=3))
-    content = random_content(p, batch=3, seed=7)
+    content = {m: c for m, c in random_content(p, batch=3, seed=7).items() if m in present}
     got = forward(p, content)
     want = np_forward(p.as_arrays(), cfg, {m: c.data for m, c in content.items()})
     for g, w in zip(got, want):
@@ -143,6 +173,20 @@ def test_single_modality_matches_oracle():
     want = np_forward(p.as_arrays(), cfg, {"video": content["video"].data})
     for g, w in zip(got, want):
         np.testing.assert_allclose(g.data, w, atol=1e-10)
+
+
+def test_encoding_the_cls_row_equals_encoding_every_row():
+    # masked pretraining reads every row, the classifier only CLS
+    cfg = tiny_config(fusion_layer=1)
+    p = float64_params(MbtParameters.init(cfg, seed=5))
+    content = random_content(p, batch=3, seed=9)
+    seqs = {m: with_cls_and_pos(p, m, content[m]) for m in MODALITIES}
+    full = encode_sequences(p, seqs)
+    cls = encode_sequences(p, seqs, np.array([0]))
+    for m in MODALITIES:
+        assert full[m].shape == (3, cfg.tokens(m) + 1, cfg.embed_dim)
+        assert cls[m].shape == (3, 1, cfg.embed_dim)
+        np.testing.assert_allclose(cls[m].data, full[m].data[:, :1], rtol=0, atol=1e-12)
 
 
 def test_no_fusion_equals_average_of_unimodal():
@@ -274,10 +318,18 @@ def test_gradients_reach_every_parameter_when_fused():
     assert missing == []
 
 
-@pytest.mark.parametrize(
-    "heads, shape, ratio", [(1, (1, 3, 4), 2), (2, (2, 5, 8), 2), (4, (64, 37, 32), 4)]
-)
-def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio):
+_BLOCK_SHAPES = [(1, (1, 3, 4), 2), (2, (2, 5, 8), 2), (4, (64, 37, 32), 4)]
+_BLOCK_CASES = [
+    pytest.param(
+        heads, shape, ratio, rows, id=f"{heads}-shape{i}-{ratio}" + (f"-rows{rows}" if rows else "")
+    )
+    for i, (heads, shape, ratio) in enumerate(_BLOCK_SHAPES)
+    for rows in (None, [0], [2, 0])
+]
+
+
+@pytest.mark.parametrize("heads, shape, ratio, rows", _BLOCK_CASES)
+def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio, rows):
     # the fused attention and MLP ops must reproduce the composite exactly,
     # forward and every gradient, so fusing changes no trained weight
     rng = np.random.default_rng(22)
@@ -290,13 +342,15 @@ def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio):
     }
     arrays = {f"blk.{k}": 0.3 * rng.standard_normal(s) for k, s in widths.items()}
     x0 = rng.standard_normal(shape)
-    w = rng.standard_normal(shape)
+    if rows is not None:
+        rows = np.array(rows)
+    w = rng.standard_normal(shape if rows is None else (shape[0], len(rows), d))
 
     def run(block):
         p = {k: Tensor(v.copy()) for k, v in arrays.items()}
         x = Tensor(x0.copy())
         with Tape() as tape:
-            out = block(p, "blk", x, heads, 1e-5)
+            out = block(p, "blk", x, heads, 1e-5, rows)
             tape.backward(ad.mean(ad.mul(out, Tensor(w))))
         return out.data, x.grad, {k: t.grad for k, t in p.items()}
 
@@ -306,6 +360,26 @@ def test_run_block_is_bit_identical_to_primitive_reference(heads, shape, ratio):
     np.testing.assert_array_equal(gx, ref_gx)
     for name in arrays:
         np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+
+def test_grad_run_block_on_rows():
+    # finite differences through a block that keeps rows 3 and 0 only
+    rng = np.random.default_rng(23)
+    b, n, d, heads = 2, 5, 8, 2
+    shapes = {
+        "ln1.g": (d,), "ln1.b": (d,), "wqkv": (d, 3 * d), "bqkv": (3 * d,),
+        "wo": (d, d), "bo": (d,), "ln2.g": (d,), "ln2.b": (d,),
+        "mlp.w1": (d, 2 * d), "mlp.b1": (2 * d,), "mlp.w2": (2 * d, d), "mlp.b2": (d,),
+    }
+    args = [rng.standard_normal((b, n, d))]
+    args += [0.4 * rng.standard_normal(shape) for shape in shapes.values()]
+    w = Tensor(rng.standard_normal((b, 2, d)))
+
+    def fn(x, *params):
+        p = {f"blk.{k}": t for k, t in zip(shapes, params)}
+        return ad.mean(ad.mul(run_block(p, "blk", x, heads, 1e-5, np.array([3, 0])), w))
+
+    assert max_relative_error(fn, args) < 1e-5
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -347,6 +421,8 @@ def test_config_validation():
         tiny_config(embed_dim=10, heads=4)
     with pytest.raises(ConfigError):
         tiny_config(fusion_layer=5)
+    with pytest.raises(ConfigError, match="at least one layer"):
+        tiny_config(layers=0, fusion_layer=0)
     with pytest.raises(ConfigError):
         tiny_config(bottleneck=0)
     with pytest.raises(ConfigError):

@@ -4,11 +4,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import micro_model_config, micro_synth_config, record_dtypes
+from helpers import micro_model_config, micro_synth_config, record_dead_nodes, record_dtypes
 from mmtlab.autodiff import Tape
 from mmtlab.errors import ConfigError, DataError
 from mmtlab.missing import MmtBank
-from mmtlab.model import MbtParameters
+from mmtlab.model import ARCHS, MbtParameters
 from mmtlab.schema import decode
 from mmtlab.synthdata import generate
 from mmtlab.training import TrainConfig, train, training_missing_masks
@@ -182,11 +182,13 @@ def test_a_train_step_runs_in_float32(monkeypatch):
 
 
 def test_one_micro_train_step_records_a_pinned_number_of_tape_nodes(monkeypatch):
-    # per modality: embed 1, token swap 4, CLS and positions 3, two blocks
-    # of 8, fused-layer concat and narrows 3; then the bottleneck 1 and its
-    # average 2, the readout 16 and the two heads' cross-entropy 9. The
-    # graph that reshaped each parameter before broadcasting it, and picked
-    # the CLS rows once per head, recorded 91.
+    # per modality: embed 1, token swap 4, CLS and positions 3, a block of
+    # 8, the fused layer's concat 1 and its CLS-only block of 9 (8 and the
+    # residual's row select); then the bottleneck 1, the readout 12 (per
+    # modality a reshape and one output norm, per head two linears and
+    # their average) and the two heads' cross-entropy 9. With every row in
+    # the last block, the narrows and average of a bottleneck nothing read,
+    # and an output norm per head, it recorded 82.
     counts = []
     backward = Tape.backward
 
@@ -198,4 +200,13 @@ def test_one_micro_train_step_records_a_pinned_number_of_tape_nodes(monkeypatch)
     ds, params, bank = fresh(n=16)
     tcfg = micro_train_config(epochs=1, replace_probs={"audio": 0.3, "video": 0.3})
     train(params, bank, ds, tcfg, seed=1)
-    assert counts == [82]
+    assert counts == [74]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_a_train_step_records_only_nodes_the_loss_reads(monkeypatch, arch):
+    dead = record_dead_nodes(monkeypatch)
+    ds, params, bank = fresh(n=16, arch=arch)
+    tcfg = micro_train_config(epochs=1, replace_probs={"audio": 0.3, "video": 0.3})
+    train(params, bank, ds, tcfg, seed=1)
+    assert dead == [[]]
