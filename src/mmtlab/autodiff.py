@@ -50,23 +50,33 @@ composite that gathers the same query rows, bit for bit.
 Each rule is written once: :func:`softmax` and :func:`multi_head_attention`
 share the last-axis softmax and its backward, :func:`gelu` and :func:`mlp`
 the GELU pieces, :func:`gather_rows` and :func:`pick` the scatter-add, and
-softmax and :func:`layer_norm` one row-sum rule. Rows here hold 16 to 41
-values, where numpy's last-axis ``sum``, ``mean`` and ``max`` cost more
-than the arithmetic they guard, so a row sum is one BLAS product with a
-ones vector, and softmax shifts each trailing matrix by its one max (any
-shift that does not overflow gives the same softmax), redoing with its own
-max only a row whose exponentials then sum below ``sqrt(tiny)``. Sums
-accumulate in BLAS order, so they agree with numpy's to rounding, not bit
-for bit; a fused op and its composite share the rule and stay bit-equal. A
-parameter is broadcast as it is, with no ``reshape`` node in front. A train
-step on ``epic-kitchens-like`` records 126 nodes (66 in its 8 blocks: the
-last layer's two add a row select), one on ``ego4d-ar-like`` 130, and a
+every reduction one BLAS rule. Rows here hold 16 to 41 values, where
+numpy's last-axis ``sum``, ``mean`` and ``max`` cost more than the
+arithmetic they guard, so a row sum is one BLAS product with a ones vector
+(softmax, :func:`layer_norm`); a column sum over the batch's rows is the
+same product from the other side (the bias and gain gradients of
+:func:`linear`, :func:`mlp` and :func:`layer_norm`, and a broadcast
+parameter's gradient). Softmax shifts each trailing matrix by its one max
+(any shift that does not overflow gives the same softmax), redoing with its
+own max only a row whose exponentials then sum below ``sqrt(tiny)``, and
+runs in leading-axis blocks that stay in L2. Sums accumulate in BLAS order,
+so they agree with numpy's to rounding, not bit for bit; a fused op and its
+composite share the rule and stay bit-equal. A parameter is broadcast as it
+is, with no ``reshape`` node in front. A train step on
+``epic-kitchens-like`` records 126 nodes (66 in its 8 blocks: the last
+layer's two add a row select), one on ``ego4d-ar-like`` 130, and a
 masked-autoencoder step 162. No node is recorded that the loss does not
 read.
+
+Leaves that are data, not parameters (input patches, substitution blend
+weights, reconstruction targets, class weights), are :class:`Constant`:
+they take no gradient, and an op skips the backward work whose only
+product would be one, such as the patch embedding's GEMM into its input.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -146,6 +156,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "inputs", "_backward")
+    requires_grad = True  # a :class:`Constant` takes no gradient
 
     def __init__(self, data, inputs=(), backward=None):
         data = np.asarray(data)
@@ -183,6 +194,25 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+class Constant(Tensor):
+    """A leaf that is data, not a parameter: input patches, blend masks,
+    targets, class weights.
+
+    It takes no gradient: accumulating into it does nothing, so its
+    ``grad`` stays None, and an op skips the backward work whose only
+    product would be its gradient (``linear``'s (rows, d) x (d, in) GEMM
+    into its input, ``mul``'s and ``sub``'s products and sums).
+    """
+
+    __slots__ = ()
+    requires_grad = False
+
+    def accumulate(self, g: np.ndarray) -> None:
+        pass
+
+    accumulate_owned = accumulate
+
+
 def _zeros(t: Tensor) -> np.ndarray:
     """C-ordered zeros in ``t``'s shape and dtype, for a gradient buffer.
 
@@ -195,6 +225,8 @@ def _zeros(t: Tensor) -> np.ndarray:
 def _scatter_add(t: Tensor, index: tuple, g: np.ndarray) -> None:
     """``t.grad[index] += g`` with repeated index tuples accumulating; when all
     are distinct, a fancy-index ``+=`` does it much faster than ``np.add.at``."""
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = _zeros(t)
     flat = np.ravel_multi_index(np.broadcast_arrays(*index), t.shape[: len(index)], mode="wrap")
@@ -225,9 +257,17 @@ def _record(out: Tensor) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that broadcasting expanded."""
+    """Sum gradient over axes that broadcasting expanded.
+
+    When ``shape`` past its leading ones is a trailing block of ``g``'s
+    shape (a bias (d,) or (1, 1, d), a position table (n, d)), that is
+    :func:`_col_sums` over every row of the block.
+    """
     if g.shape == shape:
         return g
+    core = shape[next((i for i, n in enumerate(shape) if n != 1), len(shape)) :]
+    if len(core) <= g.ndim and g.shape[g.ndim - len(core) :] == core:
+        return _col_sums(g.reshape(-1, math.prod(core))).reshape(shape)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -257,7 +297,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         a.accumulate(_unbroadcast(g, a.shape))
-        b.accumulate(-_unbroadcast(g, b.shape))
+        if b.requires_grad:
+            b.accumulate(-_unbroadcast(g, b.shape))
 
     out._backward = backward
     return _record(out)
@@ -267,8 +308,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def backward(g):
-        a.accumulate_owned(_unbroadcast(g * b.data, a.shape))
-        b.accumulate_owned(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a.accumulate_owned(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_owned(_unbroadcast(g * a.data, b.shape))
 
     out._backward = backward
     return _record(out)
@@ -396,6 +439,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = Tensor(a.data[idx], (a,))
 
     def backward(g):
+        if not a.requires_grad:
+            return
         if a.grad is None:
             a.grad = _zeros(a)
         a.grad[idx] += g
@@ -483,37 +528,83 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: x @ w (+ b). Fused for tape brevity."""
+    """Affine map over the last axis: x @ w (+ b). Fused for tape brevity.
+
+    The bias is added in place into the product; backward takes no GEMM
+    into a :class:`Constant` input.
+    """
     if x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear: input dim {x.shape[-1]} != weight rows {w.shape[0]}")
     y = x.data @ w.data
     if b is not None:
-        y = y + b.data
+        y += b.data
     out = Tensor(y, (x, w) if b is None else (x, w, b))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.shape[-1])
-        x.accumulate_owned((g2 @ w.data.T).reshape(x.shape))
+        if x.requires_grad:
+            x.accumulate_owned((g2 @ w.data.T).reshape(x.shape))
         w.accumulate_owned(x2.T @ g2)
         if b is not None:
-            b.accumulate_owned(g2.sum(axis=0))
+            b.accumulate_owned(_col_sums(g2))
 
     out._backward = backward
     return _record(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only ones vector, made once per length and dtype."""
+    v = np.ones(n, dtype=dtype)
+    v.flags.writeable = False
+    return v
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, shaped (..., 1): one BLAS product with a
     ones vector, several times faster than ``sum(axis=-1)`` on short rows."""
     n = a.shape[-1]
-    s = a.reshape(-1, n) @ np.ones(n, dtype=a.dtype)
+    s = a.reshape(-1, n) @ _ones(n, a.dtype)
     return s.reshape(a.shape[:-1] + (1,))
+
+
+def _col_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, shaped ``a.shape[1:]``: a ones vector times
+    ``a`` as one BLAS product, several times faster than ``sum(axis=0)`` on
+    a batch of rows. Every batch-axis reduction of a backward goes here."""
+    n = a.shape[0]
+    s = _ones(n, a.dtype) @ a.reshape(n, math.prod(a.shape[1:]))
+    return s.reshape(a.shape[1:])
+
+
+# Softmax runs over whole trailing matrices in leading-axis blocks of about
+# this many bytes, so each block's passes (shift, exp, row sums, divide)
+# reuse it from L2 instead of streaming the whole array once per pass.
+_BLOCK_BYTES = 1 << 18
+
+
+def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+    """``a`` as (matrices, rows, n) and the leading-axis slices of its blocks.
+
+    A block's row count is a multiple of 64: OpenBLAS's matrix-vector
+    kernels group rows from the start of each call (every multiple of 8
+    rows tried matched, 407 rows did not), so blocked row sums equal
+    whole-array sums bit for bit. A 1-D, 2-D or non-contiguous ``a`` is one
+    block.
+    """
+    if a.ndim < 3 or not a.flags.c_contiguous:
+        return a, [slice(None)]
+    rows, n = a.shape[-2:]
+    unit = 64 // math.gcd(rows, 64)
+    step = max(unit, _BLOCK_BYTES // (rows * n * a.itemsize) // unit * unit)
+    mats = a.reshape(-1, rows, n)
+    return mats, [slice(lo, lo + step) for lo in range(0, mats.shape[0], step)]
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
     """Last-axis softmax of ``a`` into a fresh array; ``a`` (C-contiguous,
-    owned by the caller) is shifted in place.
+    owned by the caller) is shifted in place. Runs in :func:`_blocks`.
 
     Each trailing matrix (a 1-D ``a`` as a whole) is shifted by its own
     max, one contiguous reduction instead of one per row. A row whose
@@ -524,26 +615,36 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
     rounds a logit to about eps times its distance from the matrix max,
     the size of the logit's own rounding.
     """
-    a -= a.max(axis=(-2, -1) if a.ndim > 1 else -1, keepdims=True)
-    y = np.exp(a)
-    s = _row_sums(y)
-    low = np.flatnonzero(s < math.sqrt(np.finfo(a.dtype).tiny))
-    if low.size:
-        n = a.shape[-1]
-        rows = a.reshape(-1, n)[low]
-        rows -= rows.max(axis=-1, keepdims=True)
-        np.exp(rows, out=rows)
-        y.reshape(-1, n)[low] = rows
-        s.reshape(-1, 1)[low] = _row_sums(rows)
-    y /= s
+    y = np.empty_like(a)
+    tiny = math.sqrt(np.finfo(a.dtype).tiny)
+    n = a.shape[-1]
+    mats, blocks = _blocks(a)
+    ys = y.reshape(mats.shape)
+    for blk in blocks:
+        ab, yb = mats[blk], ys[blk]
+        ab -= ab.max(axis=(-2, -1) if ab.ndim > 1 else -1, keepdims=True)
+        np.exp(ab, out=yb)
+        s = _row_sums(yb)
+        low = np.flatnonzero(s < tiny)
+        if low.size:
+            rows = ab.reshape(-1, n)[low]
+            rows -= rows.max(axis=-1, keepdims=True)
+            np.exp(rows, out=rows)
+            yb.reshape(-1, n)[low] = rows
+            s.reshape(-1, 1)[low] = _row_sums(rows)
+        yb /= s
     return y
 
 
 def _softmax_rows_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Softmax backward in place on ``g``, for output ``y``: y (g - sum(g y)),
-    with the row sums taken as in :func:`_row_sums`."""
-    g -= _row_sums(g * y)
-    g *= y
+    with the row sums taken as in :func:`_row_sums`, in :func:`_blocks`."""
+    mats, blocks = _blocks(g)
+    ys = y.reshape(mats.shape)
+    for blk in blocks:
+        gb, yb = mats[blk], ys[blk]
+        gb -= _row_sums(gb * yb)
+        gb *= yb
     return g
 
 
@@ -607,9 +708,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gh -= np.multiply(xhat, m2, out=tmp)
         gh *= inv
         x.accumulate_owned(gh)
-        axes = tuple(range(g.ndim - 1))
-        gain.accumulate_owned(np.multiply(g, xhat, out=tmp).sum(axis=axes))
-        bias.accumulate_owned(g.sum(axis=axes))
+        gain.accumulate_owned(_col_sums(np.multiply(g, xhat, out=tmp).reshape(-1, d)))
+        bias.accumulate_owned(_col_sums(g.reshape(-1, d)))
 
     out._backward = backward
     return _record(out)
@@ -701,11 +801,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         hidden = w1.shape[1]
         w2.accumulate_owned(_gelu_out(h, t).reshape(-1, hidden).T @ g2)
-        b2.accumulate_owned(g2.sum(axis=0))
+        b2.accumulate_owned(_col_sums(g2))
         gh = _gelu_grad(g2 @ w2.data.T, h.reshape(-1, hidden), t.reshape(-1, hidden))
         x.accumulate_owned((gh @ w1.data.T).reshape(x.shape))
         w1.accumulate_owned(x.data.reshape(-1, x.shape[-1]).T @ gh)
-        b1.accumulate_owned(gh.sum(axis=0))
+        b1.accumulate_owned(_col_sums(gh))
 
     out._backward = backward
     return _record(out)
@@ -719,7 +819,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray | None
     picked = pick(lp, rows, labels)
     if weights is not None:
         w = -np.asarray(weights, dtype=logits.data.dtype)[labels]
-        picked = mul(picked, Tensor(w))
+        picked = mul(picked, Constant(w))
     else:
         picked = scale(picked, -1.0)
     return mean(picked)

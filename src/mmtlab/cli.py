@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -324,18 +325,25 @@ def cmd_report(args) -> int:
 
 
 def _parse_rates(spec: str) -> list[float]:
+    """A comma-separated list of finite numbers (``--rtest``, ``--grid``)."""
     try:
-        return [float(part) for part in str(spec).split(",") if part.strip() != ""]
+        values = [float(part) for part in str(spec).split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigError(f"could not parse number list {spec!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"number list {spec!r} holds a value that is not finite")
+    return values
 
 
 def _thread_cap() -> int:
     raw = os.environ.get("MMTLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
         raise ConfigError(f"MMTLAB_THREADS={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ConfigError(f"MMTLAB_THREADS={raw!r} is below 1")
+    return cap
 
 
 def _add_common(sub, with_checkpoint=False):

@@ -179,7 +179,8 @@ def mae_forward(
     from :func:`mask_batch`. Returns (reconstructions, losses), both
     per-modality dicts of tensors; reconstructions are (batch, tokens,
     patch_dim). ``targets`` defaults to the input patches; it exists so
-    tests can show the loss ignores targets at visible positions.
+    tests can show the loss ignores targets at visible positions. Targets
+    are ``autodiff.Constant`` data and take no gradient.
     """
     mcfg = params.config
     present = [m for m in MODALITIES if m in patches]
@@ -215,7 +216,7 @@ def mae_forward(
         recon = ad.linear(full, dec[f"{m}.dec.head.w"], dec[f"{m}.dec.head.b"])
         recons[m] = recon
         target = (targets or patches)[m][batch_ix, msk].astype(dtype, copy=False)
-        diff = ad.sub(ad.gather_rows(recon, msk), Tensor(target))
+        diff = ad.sub(ad.gather_rows(recon, msk), ad.Constant(target))
         losses[m] = ad.mean(ad.mul(diff, diff))
     return recons, losses
 

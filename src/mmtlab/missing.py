@@ -88,7 +88,8 @@ def replace_with_mmt(
     ``replace`` is a boolean (batch,) mask. Rows where it is set come out
     as the token broadcast over every position; other rows pass through
     untouched. The (dim,) token is broadcast straight to the content's
-    shape; backward sums its gradient over every row and position.
+    shape; backward sums its gradient over every row and position. The
+    blend weights are ``autodiff.Constant`` data and take no gradient.
     """
     replace = batch_flags(replace, content.shape[0])
     if not replace.any():
@@ -96,7 +97,7 @@ def replace_with_mmt(
     # the 0/1 blend weights in the content's dtype, so float32 stays float32
     m = replace.astype(content.data.dtype)[:, None, None]
     token = ad.broadcast_to(bank[modality], content.shape)
-    return ad.add(ad.mul(content, Tensor(1.0 - m)), ad.mul(token, Tensor(m)))
+    return ad.add(ad.mul(content, ad.Constant(1.0 - m)), ad.mul(token, ad.Constant(m)))
 
 
 def substitute_zeros(patches: np.ndarray, replace: np.ndarray) -> np.ndarray:

@@ -285,7 +285,8 @@ def embed_content(
     (batch, k) array of token ids, embeds only those tokens (masked
     pretraining's visible ones). The patches take the parameters' dtype;
     datasets tokenize to float32 once, so in training and evaluation that
-    is no copy.
+    is no copy. They enter as an ``autodiff.Constant``, so backward takes
+    no gradient GEMM into them.
     """
     n, pd = p.config.tokens(modality), p.config.patch_dim(modality)
     if patches.ndim != 3 or patches.shape[1:] != (n, pd):
@@ -295,7 +296,7 @@ def embed_content(
     if rows is not None:
         patches = patches[np.arange(patches.shape[0])[:, None], rows]
     w = p[f"{modality}.embed.w"]
-    x = Tensor(np.asarray(patches, dtype=w.data.dtype))
+    x = ad.Constant(np.asarray(patches, dtype=w.data.dtype))
     return ad.linear(x, w, p[f"{modality}.embed.b"])
 
 

@@ -1,6 +1,11 @@
 """AdamW with decoupled weight decay and a warmup + cosine-decay schedule,
 and :func:`fit`, the one minibatch loop that supervised training and
-masked-autoencoder pretraining share."""
+masked-autoencoder pretraining share.
+
+AdamW keeps each dtype's parameters and moments in flat buffers, as
+multi-tensor optimizers do, so a step is a dozen vectorised numpy calls
+rather than a dozen per tensor; it equals the per-tensor update bit for
+bit."""
 
 from __future__ import annotations
 
@@ -34,13 +39,43 @@ def lr_at_step(step: int, base_lr: float, warmup_steps: int, total_steps: int) -
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's usual moment decays and guard
 
 
+class _Flat:
+    """One dtype's parameters and moments as flat buffers.
+
+    The decayed parameters come first, so weight decay is one slice; each
+    parameter's ``data`` becomes a view of ``p``, so the update writes the
+    parameters in place.
+    """
+
+    def __init__(self, params: list[Tensor], n_decay: int):
+        self.params = params
+        self.n_decay = sum(t.data.size for t in params[:n_decay])
+        sizes = [t.data.size for t in params]
+        ends = np.cumsum(sizes)
+        self.spans = [slice(int(e) - n, int(e)) for n, e in zip(sizes, ends)]
+        self.p = np.concatenate([t.data.ravel() for t in params])
+        for t, span in zip(params, self.spans):
+            t.data = self.p[span].reshape(t.data.shape)
+        self.m = np.zeros_like(self.p)
+        self.v = np.zeros_like(self.p)
+
+
 @dataclass
 class AdamW:
     """Decoupled-weight-decay Adam over a fixed list of parameter tensors.
 
     Weight decay multiplies each parameter by (1 - lr*wd) before the Adam
     update; it never enters the moment estimates. Parameters listed in
-    ``no_decay`` (gains, biases, single tokens) skip the decay term.
+    ``no_decay`` (gains, biases, single tokens) skip the decay term. A
+    parameter whose grad is None does not move, and its moments do not
+    decay.
+
+    The optimizer takes over its parameters' storage: they live in one
+    flat buffer per dtype (each tensor's ``data`` a view of it), beside
+    flat moments, and a step is one vectorised update of each buffer
+    instead of a Python loop over the tensors. Every element sees the same
+    operations, in the same order and dtype, as the per-tensor update, so
+    the result is the same bit for bit.
     """
 
     params: list[Tensor]
@@ -50,12 +85,14 @@ class AdamW:
     weight_decay: float = 0.0
     no_decay: frozenset[int] = frozenset()
     step_count: int = 0
-    _m: list[np.ndarray] = field(default_factory=list)
-    _v: list[np.ndarray] = field(default_factory=list)
+    _groups: list[_Flat] = field(default_factory=list)
 
     def __post_init__(self):
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        for dtype in dict.fromkeys(p.data.dtype for p in self.params):
+            same = [p for p in self.params if p.data.dtype == dtype]
+            decayed = [p for p in same if id(p) not in self.no_decay]
+            kept = [p for p in same if id(p) in self.no_decay]
+            self._groups.append(_Flat(decayed + kept, len(decayed)))
 
     @property
     def lr(self) -> float:
@@ -67,19 +104,37 @@ class AdamW:
         t = self.step_count + 1
         bc1 = 1.0 - _BETA1**t
         bc2 = 1.0 - _BETA2**t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
+        for grp in self._groups:
+            grads = [p.grad for p in grp.params]
+            absent = [span for span, g in zip(grp.spans, grads) if g is None]
+            if len(absent) == len(grads):
                 continue
-            g = p.grad
-            if self.weight_decay and id(p) not in self.no_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            m = self._m[i]
-            v = self._v[i]
+            p, m, v = grp.p, grp.m, grp.v
+            # an absent grad's span is updated from zeros, then put back
+            saved = [(span, p[span].copy(), m[span].copy(), v[span].copy()) for span in absent]
+            g = np.concatenate(
+                [np.zeros_like(p[span]) if gi is None else gi.ravel() for span, gi in zip(grp.spans, grads)]
+            )
+            tmp = np.empty_like(p)
+            if self.weight_decay:
+                p[: grp.n_decay] *= 1.0 - lr * self.weight_decay
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(g, 1.0 - _BETA1, out=tmp)
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+            np.multiply(g, 1.0 - _BETA2, out=tmp)
+            tmp *= g
+            v += tmp
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += _EPS
+            np.divide(m, bc1, out=g)
+            g *= lr
+            g /= tmp
+            p -= g
+            for span, p0, m0, v0 in saved:
+                p[span], m[span], v[span] = p0, m0, v0
         self.step_count = t
         return lr
 

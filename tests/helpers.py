@@ -9,7 +9,7 @@ import numpy as np
 from mmtlab import autodiff as ad
 from mmtlab.autodiff import Tape, Tensor
 from mmtlab.model import ModelConfig
-from mmtlab.optim import AdamW
+from mmtlab.optim import _BETA1, _BETA2, _EPS, AdamW, lr_at_step
 from mmtlab.synthdata import SynthConfig
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
 
@@ -97,6 +97,50 @@ def reference_block(p, prefix: str, x, heads: int, eps: float, rows=None):
     return ad.add(x, h)
 
 
+class LoopAdamW:
+    """AdamW as a Python loop over the tensors, one update each: the
+    oracle the flat :class:`~mmtlab.optim.AdamW` must equal bit for bit.
+    Same arguments; a tensor whose grad is None is skipped, moments and
+    all."""
+
+    def __init__(self, params, base_lr, warmup_steps, total_steps, weight_decay=0.0,
+                 no_decay=frozenset()):
+        self.params, self.weight_decay, self.no_decay = params, weight_decay, no_decay
+        self.schedule = (base_lr, warmup_steps, total_steps)
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in params]
+        self._v = [np.zeros_like(p.data) for p in params]
+
+    @property
+    def lr(self) -> float:
+        return lr_at_step(self.step_count, *self.schedule)
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
+
+    def step(self) -> float:
+        lr = self.lr
+        t = self.step_count + 1
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            if self.weight_decay and id(p) not in self.no_decay:
+                p.data *= 1.0 - lr * self.weight_decay
+            m = self._m[i]
+            v = self._v[i]
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        self.step_count = t
+        return lr
+
+
 def float64_params(ps):
     """``ps`` with every tensor widened to float64, an exact copy of its
     values: exact-value tests compare against float64 arithmetic."""
@@ -129,7 +173,8 @@ def record_dtypes(monkeypatch) -> set:
     def spy_step(opt):
         seen.update(p.grad.dtype for p in opt.params if p.grad is not None)
         lr = step(opt)
-        seen.update(a.dtype for a in opt._m + opt._v + [p.data for p in opt.params])
+        seen.update(a.dtype for grp in opt._groups for a in (grp.m, grp.v))
+        seen.update(p.data.dtype for p in opt.params)
         return lr
 
     monkeypatch.setattr(Tape, "backward", spy_backward)
@@ -160,3 +205,37 @@ def record_dead_nodes(monkeypatch) -> list:
 
     monkeypatch.setattr(Tape, "backward", spy)
     return dead
+
+
+def record_constants(monkeypatch, plain: bool = False) -> list:
+    """Spy on ``autodiff.Constant`` for the rest of a test.
+
+    The returned list fills with every data leaf made (input patches, blend
+    masks, targets, class weights). With ``plain`` they are made as
+    ordinary tensors, which take a gradient like any other.
+    """
+    made = []
+    cls = Tensor if plain else ad.Constant
+
+    def make(data):
+        t = cls(data)
+        made.append(t)
+        return t
+
+    monkeypatch.setattr(ad, "Constant", make)
+    return made
+
+
+def record_step_grads(monkeypatch) -> list:
+    """Spy on ``AdamW.step`` for the rest of a test: before each step, the
+    returned list gets a copy of every parameter's gradient, in the
+    optimizer's order (None where a parameter has none)."""
+    grads = []
+    step = AdamW.step
+
+    def spy(opt):
+        grads.append([None if p.grad is None else p.grad.copy() for p in opt.params])
+        return step(opt)
+
+    monkeypatch.setattr(AdamW, "step", spy)
+    return grads

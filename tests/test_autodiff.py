@@ -84,6 +84,59 @@ def test_softmax_matches_a_float64_row_max_reference(dtype):
     assert guarded == (3 if dtype == np.float32 else 1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(64, 4, 37, 37), (64, 4, 1, 37), (8, 2, 16, 16)])
+def test_softmax_in_blocks_equals_one_block_bit_for_bit(monkeypatch, dtype, shape):
+    # blocks hold whole matrices and a multiple of 64 rows, so each row's
+    # shift, exponentials and BLAS sum are those of the one-block pass
+    rng = np.random.default_rng(8)
+    x = (3 * rng.standard_normal(shape)).astype(dtype)
+    x[-1, -1, -1] = x[-1, -1].max() - 1000  # a guarded row in the last block
+    g = rng.standard_normal(shape).astype(dtype)
+    runs = []
+    for block_bytes in (1, 1 << 40):
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
+        blocks = len(ad._blocks(x)[1])
+        y = ad._softmax_rows(x.copy())
+        runs.append((blocks, y, ad._softmax_rows_grad(g.copy(), y)))
+    (many, y, dx), (one, y1, dx1) = runs
+    assert one == 1 and many == shape[0] * shape[1] // (64 // math.gcd(shape[2], 64))
+    assert np.array_equal(y, y1) and np.array_equal(dx, dx1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(300,), (257, 7), (33, 5, 6)])
+def test_col_sums_match_a_float64_reference(dtype, shape):
+    # one BLAS product, so the sums round in BLAS order: within n eps of
+    # the sum of magnitudes, for n terms per column
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(shape).astype(dtype)
+    got = ad._col_sums(a)
+    wide = a.astype(np.float64)
+    tol = shape[0] * np.finfo(dtype).eps * np.abs(wide).sum(axis=0)
+    assert got.dtype == dtype and got.shape == shape[1:]
+    assert np.all(np.abs(got - wide.sum(axis=0)) <= tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6,), (1, 1, 6), (5, 6)])
+def test_unbroadcast_to_a_trailing_block_takes_col_sums(dtype, shape):
+    # a bias (d,) or (1, 1, d) and a position table (n+1, d) under a (batch, n+1, d) gradient
+    rng = np.random.default_rng(32)
+    g = rng.standard_normal((40, 5, 6)).astype(dtype)
+    got = ad._unbroadcast(g, shape)
+    k = math.prod(shape)
+    assert got.dtype == dtype and got.shape == shape
+    assert np.array_equal(got, ad._col_sums(g.reshape(-1, k)).reshape(shape))
+    axes = tuple(range(g.ndim - len(shape))) + tuple(
+        g.ndim - len(shape) + i for i, n in enumerate(shape) if n == 1
+    )
+    wide = g.astype(np.float64)
+    want = wide.sum(axis=axes).reshape(shape)
+    tol = (g.size // k) * np.finfo(dtype).eps * np.abs(wide).sum(axis=axes).reshape(shape)
+    assert np.all(np.abs(got - want) <= tol)
+
+
 def test_log_softmax_matches_log_of_softmax():
     x = np.array([[0.3, -1.2, 2.0], [5.0, 5.0, 5.0]])
     a = ad.log_softmax(Tensor(x)).data

@@ -498,6 +498,8 @@ def test_eval_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys):
     [
         pytest.param("150", "eval rate 150.0 outside [0, 100]", id="150"),
         pytest.param(",", "need at least one eval rate", id="empty"),
+        pytest.param("nan", "not finite", id="nan"),
+        pytest.param("0,inf", "not finite", id="inf"),
         pytest.param(
             "10.0000001,10", "eval rates 10.0000001 and 10.0 are both written as r_test 10",
             id="same-label",
@@ -540,6 +542,9 @@ def test_failing_eval_leaves_the_run_directory_as_it_was(tmp_path, capsys):
         ("p", "x"),
         ("p", ","),
         ("fusion_layer", "0.5"),
+        ("fusion_layer", "nan"),  # int() would raise ValueError
+        ("fusion_layer", "inf"),  # int() would raise OverflowError
+        ("r_train", "0,-inf"),
         ("p", "0.1234567,0.1234568"),  # both name the cell p=0.123457
         ("p", "0.25,0.25"),
     ],
@@ -553,8 +558,9 @@ def test_sweep_with_a_bad_grid_creates_nothing(tmp_path, capsys, axis, grid):
     assert not out.exists()
 
 
-def test_sweep_with_a_bad_thread_cap_creates_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MMTLAB_THREADS", "two")
+@pytest.mark.parametrize("cap", ["two", "0", "-3"])
+def test_sweep_with_a_bad_thread_cap_creates_nothing(tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("MMTLAB_THREADS", cap)
     out = tmp_path / "fresh"
     path = write_cfg(tmp_path)
     assert main(["sweep", "--config", path, "--out", str(out), "--axis", "p", "--grid", "0"]) == 2

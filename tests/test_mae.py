@@ -31,8 +31,10 @@ from helpers import (
     float64_params,
     micro_model_config,
     micro_synth_config,
+    record_constants,
     record_dead_nodes,
     record_dtypes,
+    record_step_grads,
 )
 
 
@@ -417,3 +419,25 @@ def test_a_pretraining_step_records_only_nodes_the_loss_reads(monkeypatch):
     ds, params, dec, _ = setup_micro(n=16)
     mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=1)
     assert dead == [[]]
+
+
+def _one_pretraining_step(monkeypatch, plain: bool):
+    made = record_constants(monkeypatch, plain)
+    grads = record_step_grads(monkeypatch)
+    ds, params, dec, _ = setup_micro(n=16)
+    mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=2)
+    monkeypatch.undo()
+    return made, grads
+
+
+def test_mae_data_leaves_take_no_gradient_and_leave_every_parameter_gradient_alone(monkeypatch):
+    # each modality's visible patches and its masked targets are data
+    made, grads = _one_pretraining_step(monkeypatch, plain=False)
+    plain_made, plain_grads = _one_pretraining_step(monkeypatch, plain=True)
+    assert len(grads) == 1 and len(made) == 4
+    assert all(t.grad is None for t in made)
+    assert all(t.grad is not None for t in plain_made)
+    for got, want in zip(grads[0], plain_grads[0], strict=True):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -7,6 +7,8 @@ from mmtlab.autodiff import Tensor
 from mmtlab.errors import ConfigError
 from mmtlab.optim import AdamW, lr_at_step
 
+from helpers import LoopAdamW
+
 
 def test_first_step_moves_unit_gradient_by_lr():
     # bias correction makes the very first update exactly lr * sign(g)
@@ -86,3 +88,47 @@ def test_lr_used_follows_schedule():
     expected = [lr_at_step(s, 1.0, 2, 4) for s in range(4)]
     np.testing.assert_allclose(used, expected)
     assert math.isclose(used[0], 0.5) and math.isclose(used[1], 1.0)
+
+
+def _mixed_params(rng):
+    """Decayed and no-decay tensors of both dtypes, interleaved."""
+    shapes = [(3, 4), (4,), (2, 3, 2), (5,), (1,), (6, 2)]
+    dtypes = [np.float32, np.float64, np.float32, np.float32, np.float64, np.float64]
+    return [rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes)]
+
+
+def test_flat_update_equals_the_per_tensor_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    init = _mixed_params(rng)
+    flat = [Tensor(a.copy()) for a in init]
+    loop = [Tensor(a.copy()) for a in init]
+    kw = dict(base_lr=0.05, warmup_steps=2, total_steps=9, weight_decay=0.1)
+    opt = AdamW(flat, no_decay=frozenset(id(flat[i]) for i in (1, 3, 4)), **kw)
+    oracle = LoopAdamW(loop, no_decay=frozenset(id(loop[i]) for i in (1, 3, 4)), **kw)
+    for step in range(7):
+        # tensor 2 (decayed) and tensor 4 (no decay) have no grad on some steps
+        absent = {2, 4} if step in (1, 2) else {4} if step == 5 else set()
+        before = [t.data.copy() for t in flat]
+        for i, a in enumerate(init):
+            g = None if i in absent else (rng.standard_normal(a.shape) * 10.0**i).astype(a.dtype)
+            flat[i].grad = g
+            loop[i].grad = None if g is None else g.copy()
+        assert opt.step() == oracle.step()
+        for i, (f, o) in enumerate(zip(flat, loop)):
+            assert f.data.dtype == init[i].dtype and f.data.shape == init[i].shape
+            assert np.array_equal(f.data, o.data), (step, i)
+            if i in absent:
+                assert np.array_equal(f.data, before[i])
+        opt.zero_grad()
+        assert all(t.grad is None for t in flat)
+
+
+def test_the_parameters_become_views_of_one_buffer_per_dtype():
+    a, b, c = Tensor(np.ones(3, np.float32)), Tensor(np.ones(2)), Tensor(np.ones((2, 2), np.float32))
+    opt = AdamW([a, b, c], base_lr=0.1, warmup_steps=1, total_steps=10, weight_decay=0.5)
+    assert len(opt._groups) == 2
+    assert a.data.base is c.data.base is not None and b.data.base is not a.data.base
+    for t in (a, b, c):
+        t.grad = np.ones_like(t.data)
+    opt.step()
+    assert a.data[0] == c.data[0, 0] == np.float32(1.0 - 0.1 * 0.5) - np.float32(0.1)

@@ -4,7 +4,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import micro_model_config, micro_synth_config, record_dead_nodes, record_dtypes
+from helpers import (
+    LoopAdamW,
+    micro_model_config,
+    micro_synth_config,
+    record_constants,
+    record_dead_nodes,
+    record_dtypes,
+    record_step_grads,
+)
+from mmtlab import optim
 from mmtlab.autodiff import Tape
 from mmtlab.errors import ConfigError, DataError
 from mmtlab.missing import MmtBank
@@ -210,3 +219,49 @@ def test_a_train_step_records_only_nodes_the_loss_reads(monkeypatch, arch):
     tcfg = micro_train_config(epochs=1, replace_probs={"audio": 0.3, "video": 0.3})
     train(params, bank, ds, tcfg, seed=1)
     assert dead == [[]]
+
+
+def _one_step(monkeypatch, plain: bool):
+    made = record_constants(monkeypatch, plain)
+    grads = record_step_grads(monkeypatch)
+    ds, params, bank = fresh(n=16)
+    tcfg = micro_train_config(epochs=1, replace_probs={"audio": 0.5}, use_class_weights=True)
+    train(params, bank, ds, tcfg, seed=4)
+    monkeypatch.undo()
+    return made, grads
+
+
+def test_data_leaves_take_no_gradient_and_leave_every_parameter_gradient_alone(monkeypatch):
+    # the patches, the mmt blend weights and the class weights are data
+    made, grads = _one_step(monkeypatch, plain=False)
+    plain_made, plain_grads = _one_step(monkeypatch, plain=True)
+    shapes = [t.shape for t in made]
+    assert len(grads) == 1 and len(made) == 6  # audio and video patches, two masks, two weights
+    assert sum(len(s) == 3 and s[1:] == (1, 1) for s in shapes) == 2  # the blend weights
+    assert all(t.grad is None for t in made)
+    assert [t.shape for t in plain_made] == shapes
+    assert all(t.grad is not None for t in plain_made)
+    for got, want in zip(grads[0], plain_grads[0], strict=True):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_training_with_the_flat_adamw_equals_the_per_tensor_loop(monkeypatch):
+    # two epochs of three steps; with no natural absence the video token
+    # never has a grad, and the audio token has none in a step where no
+    # sample swaps audio: both must then stay put
+    tcfg = micro_train_config(replace_probs={"audio": 0.05})
+    grads = record_step_grads(monkeypatch)
+    ds, params, bank = fresh()
+    train(params, bank, ds, tcfg, seed=5)
+    flat = snapshot(params, bank)
+    absent = [sum(g is None for g in step) for step in grads]
+    assert min(absent) == 1 and max(absent) == 2
+
+    monkeypatch.setattr(optim, "AdamW", LoopAdamW)
+    ds, params, bank = fresh()
+    train(params, bank, ds, tcfg, seed=5)
+    loop = snapshot(params, bank)
+    for k in flat:
+        assert np.array_equal(flat[k], loop[k]), k
