@@ -49,22 +49,24 @@ composite that gathers the same query rows, bit for bit.
 
 Each rule is written once: :func:`softmax` and :func:`multi_head_attention`
 share the last-axis softmax and its backward, :func:`gelu` and :func:`mlp`
-the GELU pieces, :func:`gather_rows` and :func:`pick` the scatter-add, and
-every reduction one BLAS rule. Rows here hold 16 to 41 values, where
-numpy's last-axis ``sum``, ``mean`` and ``max`` cost more than the
-arithmetic they guard, so a row sum is one BLAS product with a ones vector
-(softmax, :func:`layer_norm`); a column sum over the batch's rows is the
-same product from the other side (the bias and gain gradients of
-:func:`linear`, :func:`mlp` and :func:`layer_norm`, and a broadcast
+the GELU pieces, :func:`gather_rows`, :func:`pick` and :func:`narrow` the
+scatter-add, and every reduction one BLAS rule. Rows here hold 16 to 41
+values, where numpy's last-axis ``sum``, ``mean`` and ``max`` cost more
+than the arithmetic they guard, so a row sum is one BLAS product with a
+ones vector (softmax, :func:`layer_norm`); a column sum over the batch's
+rows is the same product from the other side (the bias and gain gradients
+of :func:`linear`, :func:`mlp` and :func:`layer_norm`, and a broadcast
 parameter's gradient). Softmax shifts each trailing matrix by its one max
 (any shift that does not overflow gives the same softmax), redoing with its
-own max only a row whose exponentials then sum below ``sqrt(tiny)``, and
-runs in leading-axis blocks that stay in L2. Sums accumulate in BLAS order,
-so they agree with numpy's to rounding, not bit for bit; a fused op and its
-composite share the rule and stay bit-equal. A parameter is broadcast as it
-is, with no ``reshape`` node in front. A train step on
-``epic-kitchens-like`` records 126 nodes (66 in its 8 blocks: the last
-layer's two add a row select), one on ``ego4d-ar-like`` 130, and a
+own max only a row whose exponentials then sum below ``sqrt(tiny)``. Sums
+accumulate in BLAS order, so they agree with numpy's to rounding, not bit
+for bit; a fused op and its composite share the rule and stay bit-equal.
+The scatter-add is one fancy-index ``+=``, which would count a repeated
+index once, so it needs distinct indices: :func:`gather_rows` and
+:func:`pick` reject a repeated one in forward, before any node is recorded.
+A parameter is broadcast as it is, with no ``reshape`` node in front. A
+train step on ``epic-kitchens-like`` records 126 nodes (66 in its 8 blocks:
+the last layer's two add a row select), one on ``ego4d-ar-like`` 130, and a
 masked-autoencoder step 162. No node is recorded that the loss does not
 read.
 
@@ -223,17 +225,24 @@ def _zeros(t: Tensor) -> np.ndarray:
 
 
 def _scatter_add(t: Tensor, index: tuple, g: np.ndarray) -> None:
-    """``t.grad[index] += g`` with repeated index tuples accumulating; when all
-    are distinct, a fancy-index ``+=`` does it much faster than ``np.add.at``."""
+    """``t.grad[index] += g``, a fancy-index ``+=`` that counts each element
+    once: ``index`` must name distinct elements (a slice, or index arrays
+    checked by :func:`_check_distinct`)."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = _zeros(t)
-    flat = np.ravel_multi_index(np.broadcast_arrays(*index), t.shape[: len(index)], mode="wrap")
-    if np.diff(np.sort(flat, axis=None)).all():
-        t.grad[index] += g
-    else:
-        np.add.at(t.grad, index, g)
+    t.grad[index] += g
+
+
+def _check_distinct(op: str, shape: tuple, index: tuple) -> None:
+    """Raise ``DimensionError`` unless the index arrays ``index`` name
+    distinct elements of an array of ``shape``: marks a boolean grid and
+    counts it, with no sort."""
+    grid = np.zeros(shape, dtype=bool)
+    grid[index] = True
+    if np.count_nonzero(grid) != np.broadcast(*index).size:
+        raise DimensionError(f"{op}: repeated indices")
 
 
 def _record(out: Tensor) -> Tensor:
@@ -439,11 +448,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = Tensor(a.data[idx], (a,))
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = _zeros(a)
-        a.grad[idx] += g
+        _scatter_add(a, idx, g)
 
     out._backward = backward
     return _record(out)
@@ -472,14 +477,16 @@ def sum_(a: Tensor) -> Tensor:
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Per-sample row gather: out[b, i] = a[b, idx[b, i]] over the last axis.
 
-    ``a`` is (batch, n, d) and ``idx`` is (batch, k) of row indices; the
-    backward pass scatter-adds into the input's gradient, so repeated
-    indices accumulate.
+    ``a`` is (batch, n, d) and ``idx`` is (batch, k) of row indices,
+    distinct within each sample: a repeated index raises ``DimensionError``,
+    since the backward scatter-adds into the input's gradient once per
+    element.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
         raise DimensionError(f"gather_rows: got {a.shape} indexed by {idx.shape}")
     batch_ix = np.arange(a.shape[0])[:, None]
+    _check_distinct("gather_rows", a.shape[:2], (batch_ix, idx))
     out = Tensor(a.data[batch_ix, idx], (a,))
 
     def backward(g):
@@ -492,10 +499,12 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def pick(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Gather a[rows[i], cols[i]] for each i; used to pull label logits.
 
-    Backward scatter-adds, so a repeated (row, col) pair accumulates.
+    The (row, col) pairs must be distinct: a repeated pair raises
+    ``DimensionError``, since the backward scatter-adds once per element.
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
+    _check_distinct("pick", a.shape[:2], (rows, cols))
     out = Tensor(a.data[rows, cols], (a,))
 
     def backward(g):
@@ -578,33 +587,9 @@ def _col_sums(a: np.ndarray) -> np.ndarray:
     return s.reshape(a.shape[1:])
 
 
-# Softmax runs over whole trailing matrices in leading-axis blocks of about
-# this many bytes, so each block's passes (shift, exp, row sums, divide)
-# reuse it from L2 instead of streaming the whole array once per pass.
-_BLOCK_BYTES = 1 << 18
-
-
-def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[slice]]:
-    """``a`` as (matrices, rows, n) and the leading-axis slices of its blocks.
-
-    A block's row count is a multiple of 64: OpenBLAS's matrix-vector
-    kernels group rows from the start of each call (every multiple of 8
-    rows tried matched, 407 rows did not), so blocked row sums equal
-    whole-array sums bit for bit. A 1-D, 2-D or non-contiguous ``a`` is one
-    block.
-    """
-    if a.ndim < 3 or not a.flags.c_contiguous:
-        return a, [slice(None)]
-    rows, n = a.shape[-2:]
-    unit = 64 // math.gcd(rows, 64)
-    step = max(unit, _BLOCK_BYTES // (rows * n * a.itemsize) // unit * unit)
-    mats = a.reshape(-1, rows, n)
-    return mats, [slice(lo, lo + step) for lo in range(0, mats.shape[0], step)]
-
-
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
     """Last-axis softmax of ``a`` into a fresh array; ``a`` (C-contiguous,
-    owned by the caller) is shifted in place. Runs in :func:`_blocks`.
+    owned by the caller) is shifted in place.
 
     Each trailing matrix (a 1-D ``a`` as a whole) is shifted by its own
     max, one contiguous reduction instead of one per row. A row whose
@@ -615,36 +600,27 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
     rounds a logit to about eps times its distance from the matrix max,
     the size of the logit's own rounding.
     """
-    y = np.empty_like(a)
     tiny = math.sqrt(np.finfo(a.dtype).tiny)
     n = a.shape[-1]
-    mats, blocks = _blocks(a)
-    ys = y.reshape(mats.shape)
-    for blk in blocks:
-        ab, yb = mats[blk], ys[blk]
-        ab -= ab.max(axis=(-2, -1) if ab.ndim > 1 else -1, keepdims=True)
-        np.exp(ab, out=yb)
-        s = _row_sums(yb)
-        low = np.flatnonzero(s < tiny)
-        if low.size:
-            rows = ab.reshape(-1, n)[low]
-            rows -= rows.max(axis=-1, keepdims=True)
-            np.exp(rows, out=rows)
-            yb.reshape(-1, n)[low] = rows
-            s.reshape(-1, 1)[low] = _row_sums(rows)
-        yb /= s
+    a -= a.max(axis=(-2, -1) if a.ndim > 1 else -1, keepdims=True)
+    y = np.exp(a)
+    s = _row_sums(y)
+    low = np.flatnonzero(s < tiny)
+    if low.size:
+        rows = a.reshape(-1, n)[low]
+        rows -= rows.max(axis=-1, keepdims=True)
+        np.exp(rows, out=rows)
+        y.reshape(-1, n)[low] = rows
+        s.reshape(-1, 1)[low] = _row_sums(rows)
+    y /= s
     return y
 
 
 def _softmax_rows_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Softmax backward in place on ``g``, for output ``y``: y (g - sum(g y)),
-    with the row sums taken as in :func:`_row_sums`, in :func:`_blocks`."""
-    mats, blocks = _blocks(g)
-    ys = y.reshape(mats.shape)
-    for blk in blocks:
-        gb, yb = mats[blk], ys[blk]
-        gb -= _row_sums(gb * yb)
-        gb *= yb
+    with the row sums taken as in :func:`_row_sums`."""
+    g -= _row_sums(g * y)
+    g *= y
     return g
 
 

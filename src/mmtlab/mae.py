@@ -171,16 +171,14 @@ def mae_forward(
     cfg: MaeConfig,
     patches: dict[str, np.ndarray],
     masks: dict,
-    targets: dict | None = None,
 ):
     """Encode visible tokens, decode full sequences, score masked positions.
 
     ``masks`` maps modality to (visible, masked) per-sample index arrays
     from :func:`mask_batch`. Returns (reconstructions, losses), both
     per-modality dicts of tensors; reconstructions are (batch, tokens,
-    patch_dim). ``targets`` defaults to the input patches; it exists so
-    tests can show the loss ignores targets at visible positions. Targets
-    are ``autodiff.Constant`` data and take no gradient.
+    patch_dim). The targets are the input patches at the masked
+    positions, as ``autodiff.Constant`` data that take no gradient.
     """
     mcfg = params.config
     present = [m for m in MODALITIES if m in patches]
@@ -215,7 +213,7 @@ def mae_forward(
         )
         recon = ad.linear(full, dec[f"{m}.dec.head.w"], dec[f"{m}.dec.head.b"])
         recons[m] = recon
-        target = (targets or patches)[m][batch_ix, msk].astype(dtype, copy=False)
+        target = patches[m][batch_ix, msk].astype(dtype, copy=False)
         diff = ad.sub(ad.gather_rows(recon, msk), ad.Constant(target))
         losses[m] = ad.mean(ad.mul(diff, diff))
     return recons, losses

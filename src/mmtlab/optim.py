@@ -2,7 +2,7 @@
 and :func:`fit`, the one minibatch loop that supervised training and
 masked-autoencoder pretraining share.
 
-AdamW keeps each dtype's parameters and moments in flat buffers, as
+AdamW keeps its parameters and moments in one flat buffer each, as
 multi-tensor optimizers do, so a step is a dozen vectorised numpy calls
 rather than a dozen per tensor; it equals the per-tensor update bit for
 bit."""
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +39,6 @@ def lr_at_step(step: int, base_lr: float, warmup_steps: int, total_steps: int) -
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's usual moment decays and guard
 
 
-class _Flat:
-    """One dtype's parameters and moments as flat buffers.
-
-    The decayed parameters come first, so weight decay is one slice; each
-    parameter's ``data`` becomes a view of ``p``, so the update writes the
-    parameters in place.
-    """
-
-    def __init__(self, params: list[Tensor], n_decay: int):
-        self.params = params
-        self.n_decay = sum(t.data.size for t in params[:n_decay])
-        sizes = [t.data.size for t in params]
-        ends = np.cumsum(sizes)
-        self.spans = [slice(int(e) - n, int(e)) for n, e in zip(sizes, ends)]
-        self.p = np.concatenate([t.data.ravel() for t in params])
-        for t, span in zip(params, self.spans):
-            t.data = self.p[span].reshape(t.data.shape)
-        self.m = np.zeros_like(self.p)
-        self.v = np.zeros_like(self.p)
-
-
 @dataclass
 class AdamW:
     """Decoupled-weight-decay Adam over a fixed list of parameter tensors.
@@ -71,11 +50,12 @@ class AdamW:
     decay.
 
     The optimizer takes over its parameters' storage: they live in one
-    flat buffer per dtype (each tensor's ``data`` a view of it), beside
-    flat moments, and a step is one vectorised update of each buffer
-    instead of a Python loop over the tensors. Every element sees the same
-    operations, in the same order and dtype, as the per-tensor update, so
-    the result is the same bit for bit.
+    flat buffer (each tensor's ``data`` a view of it), decayed parameters
+    first so weight decay is one slice, beside flat moments, and a step is
+    one vectorised update instead of a Python loop over the tensors. Every
+    element sees the same operations, in the same order and dtype, as the
+    per-tensor update, so the result is the same bit for bit. The
+    parameters must share one dtype; a mixed list raises ``TypeError``.
     """
 
     params: list[Tensor]
@@ -85,14 +65,20 @@ class AdamW:
     weight_decay: float = 0.0
     no_decay: frozenset[int] = frozenset()
     step_count: int = 0
-    _groups: list[_Flat] = field(default_factory=list)
 
     def __post_init__(self):
-        for dtype in dict.fromkeys(p.data.dtype for p in self.params):
-            same = [p for p in self.params if p.data.dtype == dtype]
-            decayed = [p for p in same if id(p) not in self.no_decay]
-            kept = [p for p in same if id(p) in self.no_decay]
-            self._groups.append(_Flat(decayed + kept, len(decayed)))
+        dtypes = sorted({str(p.data.dtype) for p in self.params})
+        if len(dtypes) > 1:
+            raise TypeError(f"AdamW needs one parameter dtype, got {' and '.join(dtypes)}")
+        self._order = sorted(self.params, key=lambda p: id(p) in self.no_decay)
+        self._n_decay = sum(p.data.size for p in self._order if id(p) not in self.no_decay)
+        ends = np.cumsum([p.data.size for p in self._order])
+        self._spans = [slice(int(e) - p.data.size, int(e)) for p, e in zip(self._order, ends)]
+        self._p = np.concatenate([p.data.ravel() for p in self._order])
+        for p, span in zip(self._order, self._spans):
+            p.data = self._p[span].reshape(p.data.shape)
+        self._m = np.zeros_like(self._p)
+        self._v = np.zeros_like(self._p)
 
     @property
     def lr(self) -> float:
@@ -101,41 +87,39 @@ class AdamW:
     def step(self) -> float:
         """Apply one update from accumulated grads; returns the lr used."""
         lr = self.lr
-        t = self.step_count + 1
-        bc1 = 1.0 - _BETA1**t
-        bc2 = 1.0 - _BETA2**t
-        for grp in self._groups:
-            grads = [p.grad for p in grp.params]
-            absent = [span for span, g in zip(grp.spans, grads) if g is None]
-            if len(absent) == len(grads):
-                continue
-            p, m, v = grp.p, grp.m, grp.v
-            # an absent grad's span is updated from zeros, then put back
-            saved = [(span, p[span].copy(), m[span].copy(), v[span].copy()) for span in absent]
-            g = np.concatenate(
-                [np.zeros_like(p[span]) if gi is None else gi.ravel() for span, gi in zip(grp.spans, grads)]
-            )
-            tmp = np.empty_like(p)
-            if self.weight_decay:
-                p[: grp.n_decay] *= 1.0 - lr * self.weight_decay
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= _BETA1
-            m += np.multiply(g, 1.0 - _BETA1, out=tmp)
-            v *= _BETA2
-            np.multiply(g, 1.0 - _BETA2, out=tmp)
-            tmp *= g
-            v += tmp
-            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += _EPS
-            np.divide(m, bc1, out=g)
-            g *= lr
-            g /= tmp
-            p -= g
-            for span, p0, m0, v0 in saved:
-                p[span], m[span], v[span] = p0, m0, v0
-        self.step_count = t
+        self.step_count += 1
+        bc1 = 1.0 - _BETA1**self.step_count
+        bc2 = 1.0 - _BETA2**self.step_count
+        grads = [p.grad for p in self._order]
+        absent = [span for span, g in zip(self._spans, grads) if g is None]
+        if len(absent) == len(grads):
+            return lr
+        p, m, v = self._p, self._m, self._v
+        # an absent grad's span is updated from zeros, then put back
+        saved = [(span, p[span].copy(), m[span].copy(), v[span].copy()) for span in absent]
+        g = np.concatenate(
+            [np.zeros_like(p[span]) if gi is None else gi.ravel() for span, gi in zip(self._spans, grads)]
+        )
+        tmp = np.empty_like(p)
+        if self.weight_decay:
+            p[: self._n_decay] *= 1.0 - lr * self.weight_decay
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= _BETA1
+        m += np.multiply(g, 1.0 - _BETA1, out=tmp)
+        v *= _BETA2
+        np.multiply(g, 1.0 - _BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += _EPS
+        np.divide(m, bc1, out=g)
+        g *= lr
+        g /= tmp
+        p -= g
+        for span, p0, m0, v0 in saved:
+            p[span], m[span], v[span] = p0, m0, v0
         return lr
 
     def zero_grad(self) -> None:

@@ -173,7 +173,7 @@ def record_dtypes(monkeypatch) -> set:
     def spy_step(opt):
         seen.update(p.grad.dtype for p in opt.params if p.grad is not None)
         lr = step(opt)
-        seen.update(a.dtype for grp in opt._groups for a in (grp.m, grp.v))
+        seen.update((opt._m.dtype, opt._v.dtype))
         seen.update(p.data.dtype for p in opt.params)
         return lr
 

@@ -86,22 +86,24 @@ def test_softmax_matches_a_float64_row_max_reference(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(64, 4, 37, 37), (64, 4, 1, 37), (8, 2, 16, 16)])
-def test_softmax_in_blocks_equals_one_block_bit_for_bit(monkeypatch, dtype, shape):
-    # blocks hold whole matrices and a multiple of 64 rows, so each row's
-    # shift, exponentials and BLAS sum are those of the one-block pass
+def test_softmax_of_a_stack_matches_each_matrix_alone(dtype, shape):
+    # one pass over the stack shifts each matrix by its own max and guards
+    # row by row, so the exponentials are those of the matrix alone; only the
+    # BLAS row sums may round in another order, within n eps of the sum of
+    # magnitudes on either side
     rng = np.random.default_rng(8)
     x = (3 * rng.standard_normal(shape)).astype(dtype)
-    x[-1, -1, -1] = x[-1, -1].max() - 1000  # a guarded row in the last block
+    x[-1, -1, -1] = x[-1, -1].max() - 1000  # a guarded row in the last matrix
     g = rng.standard_normal(shape).astype(dtype)
-    runs = []
-    for block_bytes in (1, 1 << 40):
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
-        blocks = len(ad._blocks(x)[1])
-        y = ad._softmax_rows(x.copy())
-        runs.append((blocks, y, ad._softmax_rows_grad(g.copy(), y)))
-    (many, y, dx), (one, y1, dx1) = runs
-    assert one == 1 and many == shape[0] * shape[1] // (64 // math.gcd(shape[2], 64))
-    assert np.array_equal(y, y1) and np.array_equal(dx, dx1)
+    y = ad._softmax_rows(x.copy())
+    dx = ad._softmax_rows_grad(g.copy(), y)
+    tol = 3 * shape[-1] * np.finfo(dtype).eps
+    for i in np.ndindex(shape[:2]):
+        yi = ad._softmax_rows(x[i].copy())
+        dxi = ad._softmax_rows_grad(g[i].copy(), yi)
+        assert np.all(np.abs(y[i] - yi) <= tol * yi)
+        mag = np.abs(g[i]) + np.abs(g[i] * yi).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(dx[i] - dxi) <= 2 * tol * yi * mag)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -367,7 +369,7 @@ def test_every_op_computes_forward_and_backward_in_float32():
         h = ad.add(h, ad.multi_head_attention(qkv, 2))
         h = ad.add(h, ad.mlp(ad.scale(x, 0.1), w1, b1, w2, b2))
         h = ad.concat([ad.narrow(h, 1, 0, 2), ad.narrow(h, 1, 2, 3)], axis=1)
-        h = ad.gather_rows(h, np.array([[4, 0, 1], [2, 3, 3]]))
+        h = ad.gather_rows(h, np.array([[4, 0, 1], [2, 3, 0]]))
         h = ad.matmul(ad.transpose(ad.reshape(h, (2, 3, 8)), (0, 2, 1)), h)
         h = ad.softmax(ad.add(ad.narrow(h, 1, 0, 3), ad.broadcast_to(ad.mean(h), (2, 3, 8))))
         logits = ad.reshape(h, (6, 8))
@@ -491,13 +493,14 @@ def test_grad_structural_ops():
 def test_grad_pick():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((4, 3))
-    rows = np.array([0, 1, 2, 3, 0])  # repeated row exercises accumulation
-    cols = np.array([2, 0, 1, 2, 2])
+    rows = np.array([0, 1, 2, 3, 0])  # a row picked twice, at two columns
+    cols = np.array([2, 0, 1, 2, 1])
     _check(lambda x: ad.mean(ad.pick(x, rows, cols)), [a])
 
 
 def test_pick_distinct_pairs_match_scatter_add_bit_for_bit():
-    # one label per row (cross_entropy's case) takes the fancy-index path
+    # one label per row (cross_entropy's case): the fancy-index += adds
+    # each pair's gradient once, as np.add.at does
     rng = np.random.default_rng(10)
     a = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
     rows, cols = np.arange(6), np.array([4, 0, 2, 2, 1, 3])
@@ -512,20 +515,31 @@ def test_pick_distinct_pairs_match_scatter_add_bit_for_bit():
 def test_grad_gather_rows():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((3, 5, 2))
-    idx = np.array([[0, 4, 4], [1, 2, 3], [2, 2, 2]])  # repeats accumulate
+    idx = np.array([[0, 4, 3], [1, 2, 3], [2, 0, 4]])
     w = rng.standard_normal((3, 3, 2))
     _check(lambda x: ad.mean(ad.mul(ad.gather_rows(x, idx), Tensor(w))), [a])
 
 
 def test_grad_gather_rows_distinct_indices():
-    # every row distinct takes the fancy-index path instead of np.add.at
+    # the scatter adds onto the gradient of a consumer recorded later (so run first)
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 5, 2))
     idx = np.array([[4, 0, 2], [1, 2, 3], [3, 1, 0]])
-    w = rng.standard_normal((3, 3, 2))
-    _check(lambda x: ad.mean(ad.mul(ad.gather_rows(x, idx), Tensor(w))), [a])
-    # and adds onto the gradient of a consumer recorded later (so run first)
     _check(lambda x: ad.add(ad.sum_(ad.gather_rows(x, idx)), ad.mean(ad.mul(x, x))), [a])
+
+
+def test_repeated_indices_raise_before_a_node_is_recorded():
+    # the scatter-add counts each element once, so a repeat would lose gradient
+    a = Tensor(np.arange(24.0).reshape(2, 4, 3))
+    m = Tensor(np.arange(12.0).reshape(4, 3))
+    with Tape() as tape:
+        for idx in ([[3, 0], [1, 1]], [[2, 2], [0, 1]], [[3, -1], [0, 1]]):
+            with pytest.raises(DimensionError, match="gather_rows: repeated indices"):
+                ad.gather_rows(a, np.array(idx))
+        for rows, cols in (([0, 1, 0], [2, 0, 2]), ([3, 3], [1, -2])):
+            with pytest.raises(DimensionError, match="pick: repeated indices"):
+                ad.pick(m, np.array(rows), np.array(cols))
+    assert tape.nodes == []
 
 
 def test_narrow_and_broadcast_to_return_views():
@@ -683,13 +697,36 @@ def test_grad_narrow_pieces_add_into_one_gradient():
     _check(fn, [a])
 
 
+def test_a_constant_takes_no_gradient_and_changes_no_other():
+    # narrow, gather_rows and pick scatter into their input's gradient only
+    # when it takes one; a parameter's gradient is the same either way
+    rng = np.random.default_rng(15)
+    x0 = rng.standard_normal((2, 4, 3)).astype(np.float32)
+    w0 = rng.standard_normal((3, 3)).astype(np.float32)
+
+    def grads(leaf):
+        x, w = leaf(x0), Tensor(w0.copy())
+        with Tape() as tape:
+            h = ad.linear(ad.gather_rows(ad.narrow(x, 1, 1, 3), np.array([[2, 0], [1, 2]])), w)
+            h = ad.mul(h, ad.narrow(x, 1, 0, 2))
+            loss = ad.mean(ad.pick(ad.reshape(h, (4, 3)), np.arange(4), np.array([0, 2, 1, 0])))
+            tape.backward(loss)
+        return x.grad, w.grad
+
+    (xg, wg), (cg, cwg) = grads(Tensor), grads(ad.Constant)
+    assert xg is not None and cg is None
+    assert wg.tobytes() == cwg.tobytes()
+
+
 def test_gather_rows_forward_and_shape_guard():
     a = Tensor(np.arange(24.0).reshape(2, 4, 3))
-    out = ad.gather_rows(a, np.array([[3, 0], [1, 1]]))
+    out = ad.gather_rows(a, np.array([[3, 0], [1, 2]]))
     np.testing.assert_array_equal(out.data[0, 0], [9.0, 10.0, 11.0])
-    np.testing.assert_array_equal(out.data[1, 0], out.data[1, 1])
+    np.testing.assert_array_equal(out.data[1], a.data[1, 1:3])
     with pytest.raises(DimensionError):
         ad.gather_rows(a, np.array([0, 1]))
+    with pytest.raises(DimensionError, match="repeated"):
+        ad.gather_rows(a, np.array([[3, 0], [1, 1]]))
 
 
 _ATTENTION_GRID = [(1, (1, 3, 4)), (2, (2, 4, 8)), (4, (1, 5, 8))]

@@ -1,6 +1,7 @@
 """Config schema, command pipeline, reports, and reproducibility."""
 
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from importlib import resources
@@ -298,14 +299,28 @@ def test_sweep_resumes_to_identical_bytes(tmp_path):
 
 
 def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
+    # every file of the run directory: metrics, cell checkpoints, train logs,
+    # configs and the manifest; configs record ``out``, so both runs use one
     path = write_cfg(tmp_path)
-    seq_out, par_out = str(tmp_path / "seq"), str(tmp_path / "par")
-    assert main(["sweep", "--config", path, "--out", seq_out, "--axis", "p", "--grid", "0.1,0.6"]) == 0
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", path, "--out", str(out), "--axis", "p", "--grid", "0.1,0.6"]
+
+    def run() -> dict:
+        assert main(argv) == 0
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out)
+        return files
+
+    seq = run()
     monkeypatch.setenv("MMTLAB_THREADS", "2")
-    assert main(["sweep", "--config", path, "--out", par_out, "--axis", "p", "--grid", "0.1,0.6"]) == 0
-    seq = (Path(seq_out) / "metrics.csv").read_bytes()
-    par = (Path(par_out) / "metrics.csv").read_bytes()
-    assert seq == par
+    par = run()
+    cells = [
+        f"cells/p={v}-seed=1/{name}"
+        for v in ("0.1", "0.6")
+        for name in ("config.json", "model.ckpt", "train_log.json")
+    ]
+    assert sorted(seq) == sorted(par) == sorted(cells + ["config.json", "manifest.json", "metrics.csv"])
+    assert [k for k in seq if seq[k] != par[k]] == []
 
 
 @pytest.mark.parametrize("preset", PRESETS)

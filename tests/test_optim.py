@@ -90,16 +90,16 @@ def test_lr_used_follows_schedule():
     assert math.isclose(used[0], 0.5) and math.isclose(used[1], 1.0)
 
 
-def _mixed_params(rng):
-    """Decayed and no-decay tensors of both dtypes, interleaved."""
+def _params(rng, dtype):
+    """Tensors of several shapes, decayed and no-decay alike."""
     shapes = [(3, 4), (4,), (2, 3, 2), (5,), (1,), (6, 2)]
-    dtypes = [np.float32, np.float64, np.float32, np.float32, np.float64, np.float64]
-    return [rng.standard_normal(s).astype(d) for s, d in zip(shapes, dtypes)]
+    return [rng.standard_normal(s).astype(dtype) for s in shapes]
 
 
-def test_flat_update_equals_the_per_tensor_loop_bit_for_bit():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_update_equals_the_per_tensor_loop_bit_for_bit(dtype):
     rng = np.random.default_rng(5)
-    init = _mixed_params(rng)
+    init = _params(rng, dtype)
     flat = [Tensor(a.copy()) for a in init]
     loop = [Tensor(a.copy()) for a in init]
     kw = dict(base_lr=0.05, warmup_steps=2, total_steps=9, weight_decay=0.1)
@@ -110,12 +110,12 @@ def test_flat_update_equals_the_per_tensor_loop_bit_for_bit():
         absent = {2, 4} if step in (1, 2) else {4} if step == 5 else set()
         before = [t.data.copy() for t in flat]
         for i, a in enumerate(init):
-            g = None if i in absent else (rng.standard_normal(a.shape) * 10.0**i).astype(a.dtype)
+            g = None if i in absent else (rng.standard_normal(a.shape) * 10.0**i).astype(dtype)
             flat[i].grad = g
             loop[i].grad = None if g is None else g.copy()
         assert opt.step() == oracle.step()
         for i, (f, o) in enumerate(zip(flat, loop)):
-            assert f.data.dtype == init[i].dtype and f.data.shape == init[i].shape
+            assert f.data.dtype == dtype and f.data.shape == init[i].shape
             assert np.array_equal(f.data, o.data), (step, i)
             if i in absent:
                 assert np.array_equal(f.data, before[i])
@@ -123,12 +123,21 @@ def test_flat_update_equals_the_per_tensor_loop_bit_for_bit():
         assert all(t.grad is None for t in flat)
 
 
-def test_the_parameters_become_views_of_one_buffer_per_dtype():
-    a, b, c = Tensor(np.ones(3, np.float32)), Tensor(np.ones(2)), Tensor(np.ones((2, 2), np.float32))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_parameters_become_views_of_one_buffer(dtype):
+    a, b, c = (Tensor(np.ones(s, dtype)) for s in (3, 2, (2, 2)))
     opt = AdamW([a, b, c], base_lr=0.1, warmup_steps=1, total_steps=10, weight_decay=0.5)
-    assert len(opt._groups) == 2
-    assert a.data.base is c.data.base is not None and b.data.base is not a.data.base
+    assert a.data.base is b.data.base is c.data.base is not None
     for t in (a, b, c):
         t.grad = np.ones_like(t.data)
     opt.step()
-    assert a.data[0] == c.data[0, 0] == np.float32(1.0 - 0.1 * 0.5) - np.float32(0.1)
+    # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = v_hat = 1 after decay by lr * wd
+    want = dtype(1.0 - 0.1 * 0.5) - dtype(0.1) / (dtype(1.0) + dtype(1e-8))
+    assert a.data[0] == b.data[1] == c.data[0, 0] == want
+
+
+def test_mixed_dtypes_fail_at_construction():
+    a, b = Tensor(np.ones(3, np.float32)), Tensor(np.ones(2))
+    with pytest.raises(TypeError, match="float32 and float64"):
+        AdamW([a, b], base_lr=0.1, warmup_steps=1, total_steps=10)
+    assert a.data.base is None and b.data.base is None  # neither was taken over
