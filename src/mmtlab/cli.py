@@ -13,7 +13,8 @@ comparable.
 the arch stored in each checkpoint's model config, so a model is scored
 the way it was trained.
 
-Failures print a one-line JSON error record to stderr and exit nonzero.
+Failures print a one-line JSON error record to stderr and exit 2; a run
+whose loss or logits go non-finite fails so too, as ``FloatingPointError``.
 ``MMTLAB_THREADS`` caps how many sweep cells train in parallel
 processes; the default is one (fully sequential).
 """
@@ -398,7 +399,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
     try:
         return _DISPATCH[args.command](args)
-    except (MmtlabError, OSError) as e:
+    except (MmtlabError, OSError, FloatingPointError) as e:
         record = {"error": type(e).__name__, "message": str(e), "command": args.command}
         if isinstance(e, SchemaError):
             record["offending_keys"] = list(e.offending_keys)

@@ -1,11 +1,13 @@
-"""Masked-autoencoder pretraining for the bottleneck fusion encoder.
+"""Masked-autoencoder pretraining for the classifier's encoder.
 
-Each modality independently hides a fixed fraction of its tokens; only
-the visible tokens are encoded (bottleneck exchange included), then a
-small per-modality decoder fills the gaps with a learned mask token plus
-positional embeddings and reconstructs raw patch values. The loss is
-mean squared error over masked positions only, so reconstructions at
-visible positions receive exactly zero gradient.
+Each modality the arch reads independently hides a fixed fraction of its
+tokens; only the visible tokens are encoded, through the same
+:func:`mmtlab.model.encode_sequences` the classifier runs (bottleneck
+exchange or joint attention included), so pretraining trains the network
+the config fine-tunes. Then a small per-modality decoder fills the gaps
+with a learned mask token plus positional embeddings and reconstructs raw
+patch values. The loss is mean squared error over masked positions only,
+so reconstructions at visible positions receive exactly zero gradient.
 
 The encoder input is the classifier's own: :func:`mmtlab.model.embed_content`
 and :func:`mmtlab.model.with_cls_and_pos`, given the visible token ids, so
@@ -44,7 +46,7 @@ from .model import (
 )
 from .optim import FitResult, check_fit_settings, fit
 from .rng import Stream
-from .synthdata import SynthDataset
+from .synthdata import SynthDataset, complete
 
 _DEC_MLP_RATIO = 4
 
@@ -181,9 +183,9 @@ def mae_forward(
     positions, as ``autodiff.Constant`` data that take no gradient.
     """
     mcfg = params.config
-    present = [m for m in MODALITIES if m in patches]
+    present = [m for m in mcfg.input_modalities if m in patches]
     if not present:
-        raise ConfigError("mae_forward needs at least one modality")
+        raise ConfigError(f"mae_forward needs one of {list(mcfg.input_modalities)}")
     batch = patches[present[0]].shape[0]
     batch_ix = np.arange(batch)[:, None]
     dtype = params["z"].data.dtype  # targets take the parameters' dtype
@@ -228,10 +230,11 @@ def mae_step(
 ):
     """One reconstruction loss over a batch, with masks drawn from ``rng``.
 
-    Masking is independent per modality. Returns the total loss tensor
-    (sum over modalities) and the per-modality loss values.
+    Masks are drawn, independently, only for the modalities the arch
+    reads. Returns the total loss tensor (sum over those modalities) and
+    the per-modality loss values.
     """
-    present = [m for m in MODALITIES if m in patches]
+    present = [m for m in params.config.input_modalities if m in patches]
     batch = patches[present[0]].shape[0]
     masks = {
         m: mask_batch(batch, params.config.tokens(m), cfg.mask_ratio(m), rng)
@@ -255,19 +258,21 @@ def mae_train(
     cfg: MaeConfig,
     seed: int,
 ) -> FitResult:
-    """Pretrain encoder and decoders; heads and readout norms never move.
+    """Pretrain encoder and decoders; heads and readout norms never move,
+    nor does any parameter the arch does not read.
 
-    Modal-incomplete samples are dropped: their absent modality is all
-    zeros, which would turn reconstruction into memorizing a constant.
-    ``kept`` counts the modal-complete samples used.
+    Samples missing a modality the arch reads are dropped: their absent
+    modality is all zeros, which would turn reconstruction into memorizing
+    a constant. ``kept`` counts the samples used.
     """
-    ids = np.flatnonzero(ds.complete_mask())
+    read = params.config.input_modalities
+    ids = np.flatnonzero(complete({m: ds.missing[m] for m in read}))
     if len(ids) == 0:
-        raise DataError("no modal-complete samples to pretrain on")
+        raise DataError(f"no samples complete over {list(read)} to pretrain on")
     mask_rng = Stream(seed, "mae-mask").numpy_rng()
 
     def batch_loss(sel, span):
-        batch_patches = {m: ds.patches(m)[ids[sel]] for m in MODALITIES}
+        batch_patches = {m: ds.patches(m)[ids[sel]] for m in read}
         loss, _ = mae_step(params, dec, cfg, batch_patches, rng=mask_rng)
         return loss
 
@@ -301,9 +306,10 @@ def transfer_encoder(
     """Fresh fine-tuning parameters with the pretrained encoder copied in.
 
     The decoder is left behind; classifier heads and readout norms start
-    fresh from ``seed``, as does the caller's token bank. The arch may differ:
-    every arch has the same parameters, and pretraining always encodes
-    through the bottleneck.
+    fresh from ``seed``, as does the caller's token bank. The arch may differ,
+    since every arch has the same parameters; but pretraining encodes
+    through its own arch, so parameters that arch does not read (``z`` under
+    ``full_sa``, say) are copied as they were initialized.
     """
     if replace(pretrained.config, arch=config.arch) != config:
         raise CheckpointError(

@@ -15,15 +15,16 @@ the logits over the modalities that took part. Since nothing else is read,
 the classifier's last layer computes only the CLS rows, as CaiT's
 class-attention layers do (Touvron et al., arXiv:2103.17239): every row
 still gives keys and values, but only CLS queries are scored, and the
-output projection, second norm and MLP run on CLS alone. Masked
-pretraining encodes through :func:`encode_sequences` without ``rows``, so
-its decoders read every token.
+output projection, second norm and MLP run on CLS alone.
 
-``ModelConfig.arch`` names the forward pass, and :func:`forward` is the one
-place that dispatches on it. Besides ``bottleneck`` there are the paper's
-comparison baselines: ``full_sa`` joins the sequences from the fusion layer
-up and runs one shared stack over every token, and ``unimodal:audio`` /
-``unimodal:video`` run a single modality's full stack. Every arch has the
+``ModelConfig.arch`` names the encoder, and :func:`encode_sequences` is the
+one place that dispatches on it. Besides ``bottleneck`` there are the
+paper's comparison baselines: ``full_sa`` joins the sequences from the
+fusion layer up and runs one shared stack over every token, and
+``unimodal:audio`` / ``unimodal:video`` run a single modality's full stack.
+The classifier (:func:`forward`) and masked pretraining both encode through
+it, the classifier on its CLS rows and pretraining on every row, so
+pretraining trains the network the config fine-tunes. Every arch has the
 same parameter set, so a checkpoint's config alone says how to evaluate it.
 """
 
@@ -352,80 +353,71 @@ def _readout(p: MbtParameters, cls: dict[str, Tensor]) -> list[Tensor]:
     return logits
 
 
-def _run_stacks(
-    p: MbtParameters, x: dict[str, Tensor], layers: range, rows: np.ndarray | None = None
-) -> dict[str, Tensor]:
-    """Each modality through its own blocks at ``layers``, no exchange; the
-    last of them keeps only ``rows`` when given."""
-    for l in layers:
-        keep = rows if l == layers[-1] else None
-        x = {m: _block(p, f"{m}.layers.{l}", x[m], keep) for m in x}
-    return x
-
-
 def encode_sequences(
     p: MbtParameters, x: dict[str, Tensor], rows: np.ndarray | None = None
 ) -> dict[str, Tensor]:
-    """Run the modality stacks with bottleneck exchange on built sequences.
+    """The encoder of ``p.config.arch``, on sequences already built.
 
     ``x`` maps modality name to (batch, seq, dim) sequences that already
-    carry CLS and positions. Sequence lengths may be shorter than the full
-    token count; that is how masked pretraining encodes only the visible
-    tokens. Returns the final sequences (bottleneck rows stripped). With
-    ``rows``, a 1-D array of positions in each modality's sequence, the
-    last layer computes and returns only those rows; the classifier passes
-    its CLS row. Nothing reads the last layer's bottleneck, so it is not
-    kept.
+    carry CLS and positions; entries for modalities the arch does not read
+    are dropped. Sequence lengths may be shorter than the full token count;
+    that is how masked pretraining encodes only the visible tokens.
+
+    Layers below the split run each modality's own stack; the split is
+    ``fusion_layer``, or every layer for a unimodal arch. Above it,
+    ``bottleneck`` appends the shared tokens ``z`` to each sequence and
+    averages the copies each block emits, and ``full_sa`` joins the
+    sequences and runs the audio stack's blocks over every token (the video
+    stack's upper blocks and ``z`` are unused). Returns each modality's
+    final sequence, bottleneck rows stripped.
+
+    With ``rows``, a 1-D array of positions in each modality's sequence, the
+    last layer computes and returns only those rows (for ``full_sa``, the
+    same rows of each joined part); the classifier passes its CLS row. The
+    last layer's bottleneck is read by nothing, so it is not kept.
     """
     cfg = p.config
-    if not x:
-        raise DimensionError("encode needs at least one modality")
-    present = [m for m in MODALITIES if m in x]
+    present = [m for m in cfg.input_modalities if m in x]
+    if not present:
+        raise DimensionError(
+            f"the {cfg.arch} encoder needs one of {list(cfg.input_modalities)} in its input"
+        )
     x = {m: x[m] for m in present}
+    last = cfg.layers - 1
+    split = cfg.layers if cfg.arch.startswith("unimodal:") else cfg.fusion_layer
+    fused = range(split, cfg.layers)
+
+    for l in range(split):
+        keep = rows if l == last else None
+        x = {m: _block(p, f"{m}.layers.{l}", x[m], keep) for m in present}
+    if not fused:
+        return x
+
+    if cfg.arch == "full_sa":
+        lens = [x[m].shape[1] for m in present]
+        starts = np.cumsum([0, *lens[:-1]])
+        joint = ad.concat([x[m] for m in present], axis=1)
+        for l in fused:
+            keep = (starts[:, None] + rows).ravel() if rows is not None and l == last else None
+            joint = _block(p, f"{MODALITIES[0]}.layers.{l}", joint, keep)
+        widths = lens if rows is None else [len(rows)] * len(present)
+        offsets = np.cumsum([0, *widths[:-1]])
+        return {m: ad.narrow(joint, 1, int(o), w) for m, o, w in zip(present, offsets, widths)}
+
     batch = x[present[0]].shape[0]
-    fused = range(cfg.fusion_layer, cfg.layers)
-
-    x = _run_stacks(p, x, range(cfg.fusion_layer), None if fused else rows)
-
-    if fused:
-        z = ad.broadcast_to(p["z"], (batch, cfg.bottleneck, cfg.embed_dim))
+    z = ad.broadcast_to(p["z"], (batch, cfg.bottleneck, cfg.embed_dim))
     for l in fused:
-        keep = rows if l == fused[-1] else None
+        keep = rows if l == last else None
         zhats = []
         for m in present:
             n = x[m].shape[1]
             out = _block(p, f"{m}.layers.{l}", ad.concat([x[m], z], axis=1), keep)
             x[m] = out if keep is not None else ad.narrow(out, 1, 0, n)
-            if l < fused[-1]:  # nothing reads the last layer's bottleneck
+            if l < last:  # nothing reads the last layer's bottleneck
                 zhats.append(ad.narrow(out, 1, n, cfg.bottleneck))
         if zhats:
             z = _average(zhats)
-
     return x
-
-
-def _encode_full_sa(p: MbtParameters, x: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Concatenated-sequence fusion: one shared stack from the fusion layer.
-
-    Layers below ``fusion_layer`` run per modality as usual; from there the
-    sequences of the modalities present are joined and the audio-stack
-    blocks process every token jointly (the video stack's upper blocks are
-    simply unused in this mode). No bottleneck tokens take part. Returns
-    each modality's (batch, 1, d) CLS row: the last layer computes only the
-    CLS positions of whatever sequence it reads.
-    """
-    cfg = p.config
-    fused = range(cfg.fusion_layer, cfg.layers)
-    x = _run_stacks(p, x, range(cfg.fusion_layer), None if fused else _CLS_ROWS)
-    if not fused:
-        return x
-
-    starts = np.cumsum([0] + [seq.shape[1] for seq in x.values()])[:-1]
-    joint = ad.concat(list(x.values()), axis=1)
-    for l in fused:
-        rows = starts if l == fused[-1] else None
-        joint = _block(p, f"{MODALITIES[0]}.layers.{l}", joint, rows)
-    return {m: ad.narrow(joint, 1, i, 1) for i, m in enumerate(x)}
 
 
 def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
@@ -436,31 +428,16 @@ def forward(p: MbtParameters, content: dict[str, Tensor]) -> list[Tensor]:
     entries for modalities the arch does not read are ignored. Returns
     one (batch, n_classes[h]) logit tensor per head.
 
-    The bottleneck arch runs on whichever modalities are present: with a
-    single one the bottleneck still runs but exchanges with nothing, which
-    is the evaluation path for samples whose other modality is skipped.
-    Full self-attention joins whichever are present; a unimodal arch runs
-    its one stack.
-
-    The readout reads only each modality's CLS row, so the last layer of
-    every arch computes only those rows (the CLS query of each sequence,
-    both CLS positions of the joint one); the layers below it run every
-    row, because the last layer's keys and values need them.
+    The sequences go through :func:`encode_sequences`, which runs on
+    whichever modalities are present: the bottleneck arch with a single one
+    still runs its bottleneck, exchanging with nothing, which is the
+    evaluation path for samples whose other modality is skipped. The
+    readout reads only each modality's CLS row, so the encoder's last layer
+    computes only those rows; the layers below it run every row, because
+    the last layer's keys and values need them.
     """
-    cfg = p.config
-    present = [m for m in cfg.input_modalities if m in content]
-    if not present:
-        raise DimensionError(
-            f"the {cfg.arch} forward needs one of {list(cfg.input_modalities)} in its content"
-        )
-    x = {m: with_cls_and_pos(p, m, content[m]) for m in present}
-    if cfg.arch == "bottleneck":
-        cls = encode_sequences(p, x, _CLS_ROWS)
-    elif cfg.arch == "full_sa":
-        cls = _encode_full_sa(p, x)
-    else:
-        cls = _run_stacks(p, x, range(cfg.layers), _CLS_ROWS)
-    return _readout(p, cls)
+    x = {m: with_cls_and_pos(p, m, content[m]) for m in p.config.input_modalities if m in content}
+    return _readout(p, encode_sequences(p, x, _CLS_ROWS))
 
 
 # ---------------------------------------------------------------------------

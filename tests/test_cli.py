@@ -456,6 +456,21 @@ def test_missing_checkpoint_yields_error_record(tmp_path, capsys):
     assert record["command"] == "eval"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows on the way there
+def test_a_diverging_run_yields_error_record_and_no_checkpoint(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = micro_cfg_dict(str(out))
+    cfg["train"] = {**cfg["train"], "base_lr": 1e30}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "FloatingPointError"
+    assert record["command"] == "train"
+    assert "non-finite" in record["message"]
+    assert not (out / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("marker", [b'"model"', b"audio.embed.w"], ids=["config", "name"])
 def test_corrupted_checkpoint_yields_error_record(tmp_path, capsys, marker):
     path = write_cfg(tmp_path)

@@ -21,7 +21,7 @@ from mmtlab.mae import (
     transfer_encoder,
 )
 from mmtlab.missing import MmtBank
-from mmtlab.model import MbtParameters, load_checkpoint, save_checkpoint
+from mmtlab.model import ARCHS, MODALITIES, MbtParameters, load_checkpoint, save_checkpoint
 from mmtlab.rng import Stream
 from mmtlab.schema import decode
 from mmtlab.synthdata import generate
@@ -44,9 +44,9 @@ def micro_mae_config(**overrides) -> MaeConfig:
     return MaeConfig(**base)
 
 
-def setup_micro(seed=3, n=32, natural=None):
+def setup_micro(seed=3, n=32, natural=None, arch="bottleneck"):
     scfg = micro_synth_config(**({"natural_missing": natural} if natural else {}))
-    mcfg = micro_model_config()
+    mcfg = micro_model_config(arch=arch)
     ds = generate(scfg, seed=seed, n=n)
     params = MbtParameters.init(mcfg, seed=seed)
     acfg = micro_mae_config()
@@ -210,30 +210,39 @@ def test_pretraining_is_deterministic_and_loss_drops():
     assert history[-1]["loss"] < history[0]["loss"]
 
 
-def test_pretraining_never_touches_heads_or_readout():
-    ds, params, dec, _ = setup_micro(n=32)
-    before = {
-        name: t.data.copy()
-        for name, t in params.tensors.items()
-        if ".head." in name or ".out_ln." in name
-    }
-    assert before
+def _unread_by(cfg) -> list[str]:
+    """Name prefixes of the encoder parameters ``cfg.arch`` never reads."""
+    if cfg.arch == "full_sa":
+        return ["z", *(f"video.layers.{l}." for l in range(cfg.fusion_layer, cfg.layers))]
+    if cfg.arch.startswith("unimodal:"):
+        return ["z", *(f"{m}." for m in MODALITIES if m not in cfg.input_modalities)]
+    return []
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_pretraining_touches_exactly_what_the_arch_reads(arch):
+    ds, params, dec, _ = setup_micro(n=32, arch=arch)
+    readout = [k for k in params.tensors if ".head." in k or ".out_ln." in k]
+    unread = _unread_by(params.config)
+    before = {k: v.copy() for k, v in {**params.as_arrays(), **dec.as_arrays()}.items()}
     mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=6)
+    after = {**params.as_arrays(), **dec.as_arrays()}
     for name, arr in before.items():
-        np.testing.assert_array_equal(arr, params.tensors[name].data)
-    # the encoder did move
-    assert not np.array_equal(
-        MbtParameters.init(params.config, seed=3).tensors["audio.embed.w"].data,
-        params.tensors["audio.embed.w"].data,
-    )
+        still = name in readout or any(name.startswith(prefix) for prefix in unread)
+        assert np.array_equal(arr, after[name]) == still, name
 
 
-def test_incomplete_samples_are_dropped_or_rejected():
-    ds, params, dec, acfg = setup_micro(n=20, natural={"audio": 0.5})
+@pytest.mark.parametrize(
+    "arch, absent", [("bottleneck", "audio"), ("unimodal:audio", "video"), ("unimodal:video", "audio")]
+)
+def test_incomplete_samples_are_dropped_or_rejected(arch, absent):
+    # a sample is dropped only for missing a modality the arch reads
+    ds, params, dec, acfg = setup_micro(n=20, natural={absent: 0.5}, arch=arch)
     res = mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=7)
-    assert res.kept == int(ds.complete_mask().sum()) == 10
+    read = params.config.input_modalities
+    assert res.kept == (10 if absent in read else 20)
 
-    ds.missing["audio"][:] = True
+    ds.missing[read[0]][:] = True
     with pytest.raises(DataError):
         mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=7)
 

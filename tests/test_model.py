@@ -175,15 +175,17 @@ def test_single_modality_matches_oracle():
         np.testing.assert_allclose(g.data, w, atol=1e-10)
 
 
-def test_encoding_the_cls_row_equals_encoding_every_row():
+@pytest.mark.parametrize("arch", ARCHS)
+def test_encoding_the_cls_row_equals_encoding_every_row(arch):
     # masked pretraining reads every row, the classifier only CLS
-    cfg = tiny_config(fusion_layer=1)
+    cfg = tiny_config(fusion_layer=1, arch=arch)
     p = float64_params(MbtParameters.init(cfg, seed=5))
     content = random_content(p, batch=3, seed=9)
     seqs = {m: with_cls_and_pos(p, m, content[m]) for m in MODALITIES}
     full = encode_sequences(p, seqs)
     cls = encode_sequences(p, seqs, np.array([0]))
-    for m in MODALITIES:
+    assert set(full) == set(cls) == set(cfg.input_modalities)
+    for m in cfg.input_modalities:
         assert full[m].shape == (3, cfg.tokens(m) + 1, cfg.embed_dim)
         assert cls[m].shape == (3, 1, cfg.embed_dim)
         np.testing.assert_allclose(cls[m].data, full[m].data[:, :1], rtol=0, atol=1e-12)
@@ -452,6 +454,25 @@ def test_attention_pair_counts_desk_scale():
     assert attention_pairs(cfg) < attention_pairs(full_sa)
     # a unimodal model runs its one stream: 33^2 video pairs per layer
     assert attention_pairs_per_layer(replace(cfg, arch="unimodal:video")) == [1089] * 4
+
+
+@pytest.mark.parametrize("fusion_layer", [0, 1, 2])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_attention_pairs_count_what_the_encoder_scores(monkeypatch, arch, fusion_layer):
+    cfg = tiny_config(arch=arch, fusion_layer=fusion_layer)
+    p = MbtParameters.init(cfg, seed=10)
+    seqs = {m: with_cls_and_pos(p, m, c) for m, c in random_content(p, batch=2).items()}
+    pairs = []
+    attend = ad.multi_head_attention
+
+    def spy(qkv, heads, rows=None):
+        n = qkv.shape[-2]
+        pairs.append((n if rows is None else len(rows)) * n)
+        return attend(qkv, heads, rows)
+
+    monkeypatch.setattr(ad, "multi_head_attention", spy)
+    encode_sequences(p, seqs)
+    assert sum(pairs) == attention_pairs(cfg)
 
 
 def test_attention_pairs_respect_fusion_layer():
