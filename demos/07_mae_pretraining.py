@@ -44,7 +44,7 @@ batch = {m: ds.patches(m)[:8] for m in ("audio", "video")}
 masks = {m: mask_batch(8, mcfg.tokens(m), mae_cfg.mask_ratio(m), rng)
          for m in ("audio", "video")}
 with Tape() as tape:
-    recons, losses = mae_forward(probe, probe_dec, mae_cfg, batch, masks)
+    recons, losses = mae_forward(probe, probe_dec, batch, masks)
     tape.backward(ad.add(losses["audio"], losses["video"]))
 rows = np.arange(8)[:, None]
 at_visible = max(float(np.abs(recons[m].grad[rows, vis]).max()) for m, (vis, _) in masks.items())

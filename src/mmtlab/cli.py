@@ -110,14 +110,9 @@ def _write_fit_log(path: Path, result: FitResult) -> None:
         f.write("\n")
 
 
-def _train_one(cfg: RunConfig, out: Path, pretrained: str | None) -> None:
-    """Train a classifier into ``out``/model.ckpt and ``out``/train_log.json."""
+def _train_one(cfg: RunConfig, out: Path, params: MbtParameters) -> None:
+    """Train ``params`` into ``out``/model.ckpt and ``out``/train_log.json."""
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
-    if pretrained:
-        pre_params, _ = load_pretrained(pretrained)
-        params = transfer_encoder(pre_params, cfg.model, cfg.seed)
-    else:
-        params = MbtParameters.init(cfg.model, cfg.seed)
     bank = MmtBank.init(cfg.model.embed_dim, cfg.seed)
     result = train(params, bank, ds, cfg.train, cfg.seed)
     arrays = {**params.as_arrays(), **bank.as_arrays()}
@@ -171,8 +166,13 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    if args.checkpoint:
+        pretrained, _ = load_pretrained(args.checkpoint)
+        params = transfer_encoder(pretrained, cfg.model, cfg.seed)
+    else:
+        params = MbtParameters.init(cfg.model, cfg.seed)
     out = _prepare_out(cfg)
-    _train_one(cfg, out, args.checkpoint)
+    _train_one(cfg, out, params)
     _write_run_manifest(out, "train")
     return 0
 
@@ -241,7 +241,7 @@ def _ensure_cell_model(out: str, cfg: RunConfig, axis: str, value: float, seed: 
     if not ckpt.exists():
         cfg = replace(cfg, out=str(cell))
         cfg.save(str(cell / "config.json"))
-        _train_one(cfg, cell, pretrained=None)
+        _train_one(cfg, cell, MbtParameters.init(cfg.model, cfg.seed))
     return str(ckpt)
 
 

@@ -110,7 +110,7 @@ class RunConfig:
         check_feasible_rates(self, "eval.rates", self.eval.missing, eval_rates, self.data.n_test)
         for m, rate in self.train.induced_missing.items():
             check_feasible_rates(self, f"train.induced_missing.{m}", m, [rate], self.data.n_train)
-        for m in MODALITIES:
+        for m in self.model.input_modalities:
             try:
                 mask_count(self.mae.mask_ratio(m), self.model.tokens(m))
             except ConfigError as e:

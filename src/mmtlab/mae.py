@@ -16,11 +16,13 @@ a token is embedded and placed in pretraining as it is at fine-tuning.
 The mask token here is a pretraining placeholder appended after
 encoding; it is a different parameter from the substitution token used
 at fine-tuning time, which replaces content before encoding.
+Decoders exist only for the modalities the arch reads, and an encoder
+transfers only into the model config it was pretrained with.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,22 +123,14 @@ def mask_batch(batch: int, n: int, ratio: float, rng: np.random.Generator):
 # decoder parameters
 
 
-def _is_encoder_name(name: str) -> bool:
-    return (
-        name == "z"
-        or ".layers." in name
-        or ".embed." in name
-        or name.endswith(".cls")
-        or name.endswith(".pos")
-    )
-
-
 @dataclass(eq=False)
 class MaeDecoders(ParamSet):
-    """Per-modality reconstruction decoders, unshared across modalities.
+    """Per-modality reconstruction decoders, unshared across modalities,
+    one for each modality ``config``'s arch reads.
 
     Names live under "{modality}.dec.*" so they never collide with
-    encoder names when both go into one checkpoint.
+    encoder names when both go into one checkpoint. ``mae`` is the one
+    source of the decoder's depth, heads and width.
     """
 
     config: ModelConfig
@@ -148,7 +142,7 @@ class MaeDecoders(ParamSet):
         normal = normal_init(Stream(seed, "mae-init").numpy_rng())
         d, dd = config.embed_dim, mae.decoder_dim
         t: dict[str, Tensor] = {}
-        for m in MODALITIES:
+        for m in config.input_modalities:
             n, pd = config.tokens(m), config.patch_dim(m)
             t[f"{m}.dec.proj.w"] = normal(d, dd)
             t[f"{m}.dec.proj.b"] = zeros(dd)
@@ -170,7 +164,6 @@ class MaeDecoders(ParamSet):
 def mae_forward(
     params: MbtParameters,
     dec: MaeDecoders,
-    cfg: MaeConfig,
     patches: dict[str, np.ndarray],
     masks: dict,
 ):
@@ -180,9 +173,10 @@ def mae_forward(
     from :func:`mask_batch`. Returns (reconstructions, losses), both
     per-modality dicts of tensors; reconstructions are (batch, tokens,
     patch_dim). The targets are the input patches at the masked
-    positions, as ``autodiff.Constant`` data that take no gradient.
+    positions, as ``autodiff.Constant`` data that take no gradient. The
+    decoder runs as ``dec.mae`` sets it.
     """
-    mcfg = params.config
+    mcfg, cfg = params.config, dec.mae
     present = [m for m in mcfg.input_modalities if m in patches]
     if not present:
         raise ConfigError(f"mae_forward needs one of {list(mcfg.input_modalities)}")
@@ -221,32 +215,6 @@ def mae_forward(
     return recons, losses
 
 
-def mae_step(
-    params: MbtParameters,
-    dec: MaeDecoders,
-    cfg: MaeConfig,
-    patches: dict[str, np.ndarray],
-    rng: np.random.Generator,
-):
-    """One reconstruction loss over a batch, with masks drawn from ``rng``.
-
-    Masks are drawn, independently, only for the modalities the arch
-    reads. Returns the total loss tensor (sum over those modalities) and
-    the per-modality loss values.
-    """
-    present = [m for m in params.config.input_modalities if m in patches]
-    batch = patches[present[0]].shape[0]
-    masks = {
-        m: mask_batch(batch, params.config.tokens(m), cfg.mask_ratio(m), rng)
-        for m in present
-    }
-    _, losses = mae_forward(params, dec, cfg, patches, masks)
-    total = None
-    for m in present:
-        total = losses[m] if total is None else ad.add(total, losses[m])
-    return total, {m: float(losses[m].data) for m in present}
-
-
 # ---------------------------------------------------------------------------
 # pretraining loop
 
@@ -263,7 +231,8 @@ def mae_train(
 
     Samples missing a modality the arch reads are dropped: their absent
     modality is all zeros, which would turn reconstruction into memorizing
-    a constant. ``kept`` counts the samples used.
+    a constant. ``kept`` counts the samples used. A batch's loss is the
+    sum over modalities; its masks come from ``seed``.
     """
     read = params.config.input_modalities
     ids = np.flatnonzero(complete({m: ds.missing[m] for m in read}))
@@ -272,9 +241,16 @@ def mae_train(
     mask_rng = Stream(seed, "mae-mask").numpy_rng()
 
     def batch_loss(sel, span):
+        masks = {
+            m: mask_batch(len(sel), params.config.tokens(m), cfg.mask_ratio(m), mask_rng)
+            for m in read
+        }
         batch_patches = {m: ds.patches(m)[ids[sel]] for m in read}
-        loss, _ = mae_step(params, dec, cfg, batch_patches, rng=mask_rng)
-        return loss
+        _, losses = mae_forward(params, dec, batch_patches, masks)
+        total = losses[read[0]]
+        for m in read[1:]:
+            total = ad.add(total, losses[m])
+        return total
 
     return fit([params, dec], len(ids), cfg, seed, batch_loss)
 
@@ -303,20 +279,22 @@ def load_pretrained(path: str) -> tuple[MbtParameters, MaeDecoders]:
 def transfer_encoder(
     pretrained: MbtParameters, config: ModelConfig, seed: int
 ) -> MbtParameters:
-    """Fresh fine-tuning parameters with the pretrained encoder copied in.
+    """Fine-tuning parameters that start from a pretrained encoder.
 
-    The decoder is left behind; classifier heads and readout norms start
-    fresh from ``seed``, as does the caller's token bank. The arch may differ,
-    since every arch has the same parameters; but pretraining encodes
-    through its own arch, so parameters that arch does not read (``z`` under
-    ``full_sa``, say) are copied as they were initialized.
+    ``config`` must be the one the encoder was pretrained with, arch
+    included, so fine-tuning reads only what pretraining trained. Every
+    tensor but the classifier heads is copied (readout norms, which
+    pretraining never moves, arrive as initialized); heads are drawn fresh
+    from ``seed``.
     """
-    if replace(pretrained.config, arch=config.arch) != config:
+    if pretrained.config != config:
+        old, new = asdict(pretrained.config), asdict(config)
+        diffs = [f"{k}: {old[k]!r} != {new[k]!r}" for k in new if old[k] != new[k]]
         raise CheckpointError(
-            "pretrained encoder architecture does not match the requested config"
+            f"pretrained model config differs (checkpoint != requested): {'; '.join(diffs)}"
         )
     fresh = MbtParameters.init(config, seed)
     for name, t in pretrained.tensors.items():
-        if _is_encoder_name(name):
+        if ".head." not in name:
             fresh.tensors[name] = Tensor(t.data.copy())
     return fresh

@@ -117,8 +117,8 @@ class ParamSet:
     ``init(..., seed)`` followed by ``tensors``, the name -> Tensor map.
     Names are dotted paths ("audio.layers.2.wqkv", "z", ...) so sets can
     share one flat checkpoint and be partially transplanted (encoder
-    transfer after pretraining matches on name prefixes). ``init`` and
-    ``from_arrays`` make ``PARAM_DTYPE`` tensors.
+    transfer copies all but the heads). ``init`` and ``from_arrays`` make
+    ``PARAM_DTYPE`` tensors.
     """
 
     tensors: dict[str, Tensor]

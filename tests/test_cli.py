@@ -21,7 +21,7 @@ from mmtlab.config import (
 )
 from mmtlab.errors import ConfigError, InfeasibleRateError, SchemaError
 from mmtlab.missing import MmtBank, SubstitutionMethod
-from mmtlab.model import MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
+from mmtlab.model import MODALITIES, MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
 from mmtlab.protocol import MetricsTable, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
 from mmtlab.schema import decode
@@ -266,6 +266,50 @@ def test_pretrain_then_train_from_checkpoint(tmp_path):
     assert (run / "model.ckpt").exists()
     log = json.loads((run / "pretrain_log.json").read_text())
     assert log["kept"] == 64 and len(log["history"]) == 1
+
+
+def test_train_from_another_archs_pretraining_fails_before_it_writes(tmp_path, capsys):
+    run = tmp_path / "run"
+    model = micro_cfg_dict(str(run))["model"]
+    full_sa = write_cfg(tmp_path, name="full_sa.json", model={**model, "arch": "full_sa"})
+    assert main(["pretrain", "--config", full_sa]) == 0
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    # full_sa pretraining never trained the bottleneck tokens z
+    code = main(["train", "--config", write_cfg(tmp_path), "--checkpoint", str(run / "pretrain.ckpt")])
+    assert code == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "CheckpointError"
+    assert "arch: 'full_sa' != 'bottleneck'" in record["message"]
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_unimodal_pretraining_saves_only_the_decoder_it_trains(tmp_path, modality):
+    model = micro_cfg_dict("")["model"]
+    path = write_cfg(tmp_path, model={**model, "arch": f"unimodal:{modality}"})
+    assert main(["pretrain", "--config", path]) == 0
+    ckpt = tmp_path / "run" / "pretrain.ckpt"
+    arrays, _, _ = load_checkpoint(str(ckpt))
+    assert {name.split(".")[0] for name in arrays if ".dec." in name} == {modality}
+    assert main(["train", "--config", path, "--checkpoint", str(ckpt)]) == 0
+
+
+@pytest.mark.parametrize("arch, code", [("unimodal:audio", 0), ("bottleneck", 2)])
+def test_mask_ratios_are_checked_only_for_modalities_the_arch_reads(tmp_path, capsys, arch, code):
+    # one video token: the default video mask ratio 0.9 hides none of it
+    one_token = {**MICRO_GEO["video"], "patch_h": 8, "patch_w": 8}
+    cfg = micro_cfg_dict(str(tmp_path / "run"))
+    cfg["synth"] = {**cfg["synth"], "video": one_token}
+    cfg["model"] = {**cfg["model"], "video": one_token, "arch": arch}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("pretrain", "train", "eval"):
+        assert main([command, "--config", str(path)]) == code
+    if code:
+        records = error_records(capsys)
+        assert len(records) == 3
+        assert all(r["message"].startswith("mae.mask_ratio_video: ") for r in records)
 
 
 def test_degenerate_sweep_matches_train_plus_eval(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mmtlab.autodiff as ad
+import mmtlab.mae as mae
 from mmtlab.autodiff import Tape
 from mmtlab.errors import CheckpointError, ConfigError, DataError
 from mmtlab.mae import (
@@ -14,7 +15,6 @@ from mmtlab.mae import (
     MaeDecoders,
     load_pretrained,
     mae_forward,
-    mae_step,
     mae_train,
     mask_batch,
     save_pretrained,
@@ -115,7 +115,7 @@ def test_decoder_output_shape_matches_patch_volume():
         m: mask_batch(4, params.config.tokens(m), acfg.mask_ratio(m), rng)
         for m in patches
     }
-    recons, losses = mae_forward(params, dec, acfg, patches, masks)
+    recons, losses = mae_forward(params, dec, patches, masks)
     for m in patches:
         n, pd = params.config.tokens(m), params.config.patch_dim(m)
         assert recons[m].shape == (4, n, pd)
@@ -131,7 +131,7 @@ def test_loss_gradient_zero_at_visible_reconstructions():
         for m in patches
     }
     with Tape() as tape:
-        recons, losses = mae_forward(params, dec, acfg, patches, masks)
+        recons, losses = mae_forward(params, dec, patches, masks)
         tape.backward(ad.add(losses["audio"], losses["video"]))
     rows = np.arange(3)[:, None]
     for m in patches:
@@ -150,14 +150,14 @@ def test_perturbing_a_visible_input_patch_changes_the_loss():
     rng = Stream(10, "mae-mask").numpy_rng()
     patches = {"audio": ds.patches("audio")[:2]}
     masks = {"audio": mask_batch(2, params.config.tokens("audio"), 0.5, rng)}
-    _, base = mae_forward(params, dec, acfg, patches, masks)
+    _, base = mae_forward(params, dec, patches, masks)
 
     vis, _ = masks["audio"]
     bumped = {"audio": patches["audio"].copy()}
     bumped["audio"][0, vis[0, 0]] += np.random.default_rng(1).standard_normal(
         patches["audio"].shape[-1]
     )
-    _, moved = mae_forward(params, dec, acfg, bumped, masks)
+    _, moved = mae_forward(params, dec, bumped, masks)
     assert float(moved["audio"].data) != float(base["audio"].data)
 
 
@@ -168,19 +168,31 @@ def test_single_masked_token_loss_is_that_patch_error_over_volume():
     rng = Stream(11, "mae-mask").numpy_rng()
     patches = {"audio": ds.patches("audio")[:1]}
     masks = {"audio": mask_batch(1, 4, 0.25, rng)}
-    recons, losses = mae_forward(params, dec, acfg, patches, masks)
+    recons, losses = mae_forward(params, dec, patches, masks)
     mi = masks["audio"][1][0, 0]
     expected = np.mean((recons["audio"].data[0, mi] - patches["audio"][0, mi]) ** 2)
     np.testing.assert_allclose(float(losses["audio"].data), expected, rtol=1e-12)
 
 
-def test_mae_step_draws_masks_and_sums_modalities():
-    ds, params, dec, acfg = setup_micro()
+def test_a_pretraining_step_draws_masks_and_sums_modalities(monkeypatch):
+    ds, params, dec, _ = setup_micro(n=16)
     params, dec = float64_params(params), float64_params(dec)
-    rng = Stream(12, "mae-mask").numpy_rng()
-    patches = {m: ds.patches(m)[:4] for m in ("audio", "video")}
-    total, per = mae_step(params, dec, acfg, patches, rng=rng)
-    np.testing.assert_allclose(float(total.data), per["audio"] + per["video"], rtol=1e-12)
+    seen = []
+    forward = mae.mae_forward
+
+    def spy(params, dec, patches, masks):
+        recons, losses = forward(params, dec, patches, masks)
+        seen.append((masks, {m: float(loss.data) for m, loss in losses.items()}))
+        return recons, losses
+
+    monkeypatch.setattr(mae, "mae_forward", spy)
+    result = mae_train(params, dec, ds, micro_mae_config(epochs=1), seed=12)
+    [(masks, per)] = seen
+    assert result.steps == 1 and set(per) == {"audio", "video"}
+    for m, (vis, msk) in masks.items():
+        assert vis.shape[0] == msk.shape[0] == 16
+        assert msk.shape[1] == int(micro_mae_config().mask_ratio(m) * params.config.tokens(m))
+    np.testing.assert_allclose(result.history[0]["loss"], per["audio"] + per["video"], rtol=1e-12)
 
 
 def test_mask_token_is_not_the_substitution_token():
@@ -222,6 +234,8 @@ def _unread_by(cfg) -> list[str]:
 @pytest.mark.parametrize("arch", ARCHS)
 def test_pretraining_touches_exactly_what_the_arch_reads(arch):
     ds, params, dec, _ = setup_micro(n=32, arch=arch)
+    # a decoder exists only for a modality the arch reads
+    assert {name.split(".dec.")[0] for name in dec.tensors} == set(params.config.input_modalities)
     readout = [k for k in params.tensors if ".head." in k or ".out_ln." in k]
     unread = _unread_by(params.config)
     before = {k: v.copy() for k, v in {**params.as_arrays(), **dec.as_arrays()}.items()}
@@ -348,11 +362,28 @@ def test_transfer_copies_encoder_and_refreshes_the_rest(tmp_path):
         np.testing.assert_array_equal(arr, again.as_arrays()[name])
 
 
-def test_transfer_rejects_architecture_mismatch():
-    ds, params, dec, acfg = setup_micro()
-    other = micro_model_config(fusion_layer=0)
-    with pytest.raises(CheckpointError):
-        transfer_encoder(params, other, seed=1)
+@pytest.mark.parametrize(
+    "pretrained, requested, message",
+    [
+        pytest.param({}, {"fusion_layer": 0}, "fusion_layer: 1 != 0", id="fusion_layer"),
+        # pretraining never trained z under full_sa, nor video under unimodal:audio
+        pytest.param({"arch": "full_sa"}, {}, "arch: 'full_sa' != 'bottleneck'", id="full_sa"),
+        pytest.param(
+            {"arch": "unimodal:audio"}, {}, "arch: 'unimodal:audio' != 'bottleneck'", id="unimodal"
+        ),
+        pytest.param(
+            {"arch": "full_sa"},
+            {"fusion_layer": 2},
+            "fusion_layer: 1 != 2; arch: 'full_sa' != 'bottleneck'",
+            id="both",
+        ),
+    ],
+)
+def test_transfer_rejects_architecture_mismatch(pretrained, requested, message):
+    params = MbtParameters.init(micro_model_config(**pretrained), seed=1)
+    with pytest.raises(CheckpointError) as info:
+        transfer_encoder(params, micro_model_config(**requested), seed=1)
+    assert str(info.value).endswith(message)
 
 
 def test_pretraining_warm_start_soft_check(caplog):
