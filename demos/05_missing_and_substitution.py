@@ -51,16 +51,19 @@ print("and skip both preserve the present modality's value, and the token")
 print("does it without changing the computation graph.")
 
 # --- 3. what each method actually feeds the encoder ----------------------
-from mmtlab.missing import replace_with_mmt, substitute_zeros
+from mmtlab.missing import replace_with_mmt, substitute
 from mmtlab.model import embed_content
 
 patches = test_ds.patches("video")[:2]
-zeroed = substitute_zeros(patches, np.array([True, False]))
-print(f"\nzeros: raw patches of sample 0 zeroed ({np.abs(zeroed[0]).max():.0f}), "
-      f"sample 1 untouched ({np.abs(zeroed[1] - patches[1]).max():.0f} change)")
+flags = {"video": np.array([True, False])}
 emb = embed_content(params, "video", patches)
-swapped = replace_with_mmt(bank, "video", emb, np.array([True, False]))
+zeros = substitute(params, bank, {"video": patches}, flags, SubstitutionMethod.ZEROS)["video"].data
+silent = embed_content(params, "video", np.zeros_like(patches)).data
+print(f"\nzeros: sample 0 embeds as all-zero patches would (max delta "
+      f"{np.abs(zeros[0] - silent[0]).max():.0f}), which is the embedding bias at every "
+      f"position; sample 1 unchanged (max delta {np.abs(zeros[1] - emb.data[1]).max():.0f})")
+swapped = replace_with_mmt(bank, "video", emb, flags["video"])
 tok = swapped.data[0]
-print(f"mmt: every position of sample 0 becomes token+positional; the rows "
-      f"differ only through the positional table (spread {np.ptp(tok, axis=0).max():.4f}), "
+print(f"mmt: every position of sample 0 becomes the token (spread over positions "
+      f"{np.ptp(tok, axis=0).max():.4f}; positions are added afterwards), "
       f"sample 1 unchanged (max delta {np.abs(swapped.data[1] - emb.data[1]).max():.0f})")

@@ -3,10 +3,17 @@
 Every command takes a JSON config (file path or shipped preset name),
 resolves it against desk-scale defaults, and writes its artifacts into
 one output directory: the resolved config, checkpoints, logs, metrics,
-and a manifest of content hashes. Data is never stored: every command
-regenerates its split from the seed. Reruns with identical inputs leave
-identical bytes behind, which is what makes sweeps resumable and runs
-comparable.
+and a manifest of content hashes and of the checkpoint the command read.
+Data is never stored: every command regenerates its split from the seed.
+Reruns with identical inputs leave identical bytes behind.
+
+A directory takes runs of one config only. ``out``, ``seeds``,
+``eval.method`` and ``eval.rates`` may differ, since metric rows are keyed
+by method and rate and sweep cells (runs of their own derived configs,
+under ``cells/``) by seed; any other difference fails before anything is
+written. So the rows and cells that ``eval`` and ``sweep`` find and skip
+are what this config would write again. ``train`` refuses a directory
+that holds ``metrics.csv``, whose rows scored the model it would replace.
 
 ``eval`` and ``sweep`` fill ``metrics.csv`` the same way, through
 :func:`mmtlab.protocol.sweep` and one per-cell scorer; the forward pass is
@@ -64,23 +71,57 @@ def _resolve(args) -> RunConfig:
     return cfg
 
 
+# fields in which runs that share a directory may differ
+_PER_ROW_OR_CELL = {"out", "seeds", "eval.method", "eval.rates"}
+
+
+def _differing(old, new, path: str = "") -> list[str]:
+    """Dotted paths at which two JSON trees differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(old.keys() | new.keys())
+        return [d for k in keys for d in _differing(old.get(k), new.get(k), f"{path}{k}.")]
+    return [] if old == new else [path[:-1]]
+
+
+def _check_reuse(cfg: RunConfig) -> None:
+    """Reject a run directory whose ``config.json`` records another config."""
+    path = Path(cfg.out) / "config.json"
+    if not path.exists():
+        return
+    try:
+        old = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: not valid JSON ({e})") from None
+    new = json.loads(json.dumps(asdict(cfg)))
+    differ = [d for d in _differing(old, new) if d not in _PER_ROW_OR_CELL]
+    if differ:
+        raise ConfigError(
+            f"{', '.join(differ)} differ from the config recorded in {path}; "
+            "its artifacts came from that config, so write this run to another --out"
+        )
+
+
 def _prepare_out(cfg: RunConfig) -> Path:
-    """Create the run directory and write the resolved config into it;
-    commands call this only once their inputs have been checked."""
+    """Create the run directory and write the resolved config into it: the
+    one place that does. Commands call this only once their inputs have
+    been checked; it checks the directory takes this config."""
+    _check_reuse(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(str(out / "config.json"))
     return out
 
 
-def _write_run_manifest(out: Path, command: str) -> None:
-    """Hash every artifact in the run directory; skip the volatile log."""
+def _write_run_manifest(out: Path, command: str, inputs: dict | None = None) -> None:
+    """Hash every artifact in the run directory, skipping the volatile log,
+    and record ``inputs``: the SHA-1 of the checkpoint the command read."""
     skip = {"manifest.json", "run.log"}
     files = {}
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name not in skip:
             files[str(p.relative_to(out))] = blob_sha1(str(p))
-    write_manifest(str(out / "manifest.json"), {"command": command, "files": files})
+    manifest = {"command": command, "files": files, "inputs": inputs or {}}
+    write_manifest(str(out / "manifest.json"), manifest)
 
 
 def _load_finetune(cfg: RunConfig, path: str) -> tuple[MbtParameters, MmtBank]:
@@ -110,8 +151,9 @@ def _write_fit_log(path: Path, result: FitResult) -> None:
         f.write("\n")
 
 
-def _train_one(cfg: RunConfig, out: Path, params: MbtParameters) -> None:
-    """Train ``params`` into ``out``/model.ckpt and ``out``/train_log.json."""
+def _train_one(cfg: RunConfig, params: MbtParameters) -> None:
+    """Train ``params`` into model.ckpt and train_log.json under ``cfg.out``."""
+    out = Path(cfg.out)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
     bank = MmtBank.init(cfg.model.embed_dim, cfg.seed)
     result = train(params, bank, ds, cfg.train, cfg.seed)
@@ -166,14 +208,22 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    inputs = {}
     if args.checkpoint:
         pretrained, _ = load_pretrained(args.checkpoint)
         params = transfer_encoder(pretrained, cfg.model, cfg.seed)
+        inputs["checkpoint"] = blob_sha1(args.checkpoint)
     else:
         params = MbtParameters.init(cfg.model, cfg.seed)
+    _check_reuse(cfg)  # a config that differs is named before the rows are
+    if (Path(cfg.out) / "metrics.csv").exists():
+        raise ConfigError(
+            f"{cfg.out} holds metrics.csv, which scored the model this run would replace; "
+            "write this run to another --out"
+        )
     out = _prepare_out(cfg)
-    _train_one(cfg, out, params)
-    _write_run_manifest(out, "train")
+    _train_one(cfg, params)
+    _write_run_manifest(out, "train", inputs)
     return 0
 
 
@@ -185,7 +235,9 @@ def cmd_eval(args) -> int:
     if args.rtest is not None:
         cfg = replace(cfg, eval=replace(cfg.eval, rates=tuple(_parse_rates(args.rtest))))
     method = SubstitutionMethod.parse(cfg.eval.method)
-    params, bank = _load_finetune(cfg, args.checkpoint or str(Path(cfg.out) / "model.ckpt"))
+    ckpt = args.checkpoint or str(Path(cfg.out) / "model.ckpt")
+    params, bank = _load_finetune(cfg, ckpt)
+    inputs = {"checkpoint": blob_sha1(ckpt)}
     out = _prepare_out(cfg)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     cells = [
@@ -200,7 +252,7 @@ def cmd_eval(args) -> int:
         table,
         str(metrics_path),
     )
-    _write_run_manifest(out, "eval")
+    _write_run_manifest(out, "eval", inputs)
     return 0
 
 
@@ -224,25 +276,14 @@ def _cell_name(axis: str, value: float) -> str:
     return f"{axis}={value:g}"
 
 
-def _cell_dir(out: Path, axis: str, value: float, seed: int) -> Path:
-    return out / "cells" / f"{_cell_name(axis, value)}-seed={seed}"
-
-
-def _ensure_cell_model(out: str, cfg: RunConfig, axis: str, value: float, seed: int) -> str:
-    """Train one sweep cell's model if its checkpoint is not there yet.
+def _train_cell(cfg: RunConfig) -> None:
+    """Train one sweep cell: a run of its own config, in its own directory.
 
     Module-level so a process pool can run cells concurrently; each cell
-    owns its subdirectory and touches nothing shared.
+    owns its directory and touches nothing shared.
     """
-    cfg = _apply_axis(replace(cfg, seed=seed), axis, value)
-    cell = _cell_dir(Path(out), axis, value, seed)
-    cell.mkdir(parents=True, exist_ok=True)
-    ckpt = cell / "model.ckpt"
-    if not ckpt.exists():
-        cfg = replace(cfg, out=str(cell))
-        cfg.save(str(cell / "config.json"))
-        _train_one(cfg, cell, MbtParameters.init(cfg.model, cfg.seed))
-    return str(ckpt)
+    _prepare_out(cfg)
+    _train_one(cfg, MbtParameters.init(cfg.model, cfg.seed))
 
 
 def cmd_sweep(args) -> int:
@@ -251,36 +292,36 @@ def cmd_sweep(args) -> int:
     grid = _parse_rates(args.grid)
     if not grid:
         raise ConfigError("--grid must list at least one value")
-    # reject a bad grid or thread cap before anything is written: _apply_axis
-    # builds each cell's config, whose RunConfig checks an r_train value's
-    # feasibility, and two values with one cell name would share a cell
+    # each cell's config, derived once before anything is written: its
+    # RunConfig checks an r_train value's feasibility, and two values with
+    # one cell name would share a cell
+    cells: dict[tuple[float, int], RunConfig] = {}
     names: dict[str, float] = {}
     for value in grid:
-        _apply_axis(cfg, axis, value)
         name = _cell_name(axis, value)
         if name in names:
             raise ConfigError(f"--grid values {names[name]} and {value} both name the cell {name}")
         names[name] = value
+        for seed in cfg.seeds:
+            cell_out = str(Path(cfg.out) / "cells" / f"{name}-seed={seed}")
+            cells[value, seed] = _apply_axis(replace(cfg, seed=seed, out=cell_out), axis, value)
     method = SubstitutionMethod.parse(cfg.eval.method)
     workers = _thread_cap()
+    for run in (cfg, *cells.values()):
+        _check_reuse(run)
     out = _prepare_out(cfg)
 
-    pending = [
-        (str(out), cfg, axis, value, seed)
-        for value in grid
-        for seed in cfg.seeds
-        if not _cell_dir(out, axis, value, seed).joinpath("model.ckpt").exists()
-    ]
+    pending = [c for c in cells.values() if not (Path(c.out) / "model.ckpt").exists()]
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_ensure_cell_model, *zip(*pending)))
+            list(pool.map(_train_cell, pending))
     else:
-        for job in pending:
-            _ensure_cell_model(*job)
+        for cell_cfg in pending:
+            _train_cell(cell_cfg)
 
     metrics_path = out / "metrics.csv"
     table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
-    cells = [
+    rows = [
         {
             "method": f"{method.value}|{_cell_name(axis, value)}",
             "r_test": r,
@@ -288,8 +329,7 @@ def cmd_sweep(args) -> int:
             "heads": cfg.model.head_names,
             "value": value,
         }
-        for value in grid
-        for seed in cfg.seeds
+        for value, seed in cells
         for r in cfg.eval.rates
     ]
 
@@ -298,12 +338,12 @@ def cmd_sweep(args) -> int:
     def run_cell(cell):
         key = (cell["value"], cell["seed"])
         if key not in loaded:
-            loaded[key] = _load_finetune(cfg, str(_cell_dir(out, axis, *key) / "model.ckpt"))
+            loaded[key] = _load_finetune(cells[key], str(Path(cells[key].out) / "model.ckpt"))
         # the axis changes neither the generator nor the eval settings
         ds = generate(cfg.synth, cell["seed"], cfg.data.n_test, split="test")
         return _score_cell(cfg, *loaded[key], ds, method, cell["r_test"])
 
-    sweep(cells, run_cell, table, str(metrics_path))
+    sweep(rows, run_cell, table, str(metrics_path))
     _write_run_manifest(out, "sweep")
     return 0
 
@@ -326,9 +366,10 @@ def cmd_report(args) -> int:
 
 
 def _parse_rates(spec: str) -> list[float]:
-    """A comma-separated list of finite numbers (``--rtest``, ``--grid``)."""
+    """A comma-separated list of finite numbers (``--rtest``, ``--grid``);
+    ``-0`` reads as 0, the number it equals."""
     try:
-        values = [float(part) for part in str(spec).split(",") if part.strip() != ""]
+        values = [float(part) + 0.0 for part in str(spec).split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigError(f"could not parse number list {spec!r}") from None
     if not all(math.isfinite(v) for v in values):

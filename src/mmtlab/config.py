@@ -18,7 +18,8 @@ it applies to sweep cells and checkpoint headers:
 
 So an impossible request fails when the config loads. Every command
 writes the fully resolved config (``dataclasses.asdict``) next to its
-outputs, so a run can be re-derived from its artifacts alone.
+outputs, and its ``manifest.json`` names the SHA-1 of any checkpoint it
+read (``inputs``), so a run can be re-derived from its artifacts alone.
 """
 
 from __future__ import annotations

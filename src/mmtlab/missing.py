@@ -7,7 +7,9 @@ Three ways to classify when a modality's input is unavailable:
              embedding becomes that vector (positions are added afterwards,
              so token i reads mmt + pos[i]). The vector is trained by
              randomly replacing present modalities during training.
-* ``zeros``  zero the raw input and tokenize as usual.
+* ``zeros``  zero the raw input and tokenize as usual. The patch embedding
+             is affine, so that is the ``mmt`` blend with the embedding bias
+             ``{m}.embed.b`` as the token.
 * ``skip``   drop the branch: the model runs on the modalities that remain
              and the readout averages over those only.
 
@@ -80,33 +82,30 @@ def batch_flags(flags, batch: int, what: str = "replace mask") -> np.ndarray:
     return flags
 
 
-def replace_with_mmt(
-    bank: MmtBank, modality: str, content: Tensor, replace: np.ndarray
-) -> Tensor:
-    """Swap whole samples' content embeddings for the modality's token.
+def _blend(content: Tensor, stand_in: Tensor, replace: np.ndarray) -> Tensor:
+    """Swap whole samples' content embeddings for a (dim,) stand-in.
 
     ``replace`` is a boolean (batch,) mask. Rows where it is set come out
-    as the token broadcast over every position; other rows pass through
-    untouched. The (dim,) token is broadcast straight to the content's
-    shape; backward sums its gradient over every row and position. The
-    blend weights are ``autodiff.Constant`` data and take no gradient.
+    as the stand-in broadcast over every position; other rows pass through
+    untouched. The stand-in is broadcast straight to the content's shape;
+    backward sums its gradient over every row and position. The blend
+    weights are ``autodiff.Constant`` data and take no gradient.
     """
     replace = batch_flags(replace, content.shape[0])
     if not replace.any():
         return content
     # the 0/1 blend weights in the content's dtype, so float32 stays float32
     m = replace.astype(content.data.dtype)[:, None, None]
-    token = ad.broadcast_to(bank[modality], content.shape)
+    token = ad.broadcast_to(stand_in, content.shape)
     return ad.add(ad.mul(content, ad.Constant(1.0 - m)), ad.mul(token, ad.Constant(m)))
 
 
-def substitute_zeros(patches: np.ndarray, replace: np.ndarray) -> np.ndarray:
-    """Zero the raw patches of replaced samples; tokenization then proceeds
-    as if a silent/black input had been recorded."""
-    replace = batch_flags(replace, patches.shape[0])
-    out = patches.copy()
-    out[replace] = 0.0
-    return out
+def replace_with_mmt(
+    bank: MmtBank, modality: str, content: Tensor, replace: np.ndarray
+) -> Tensor:
+    """Swap the flagged samples' content embeddings for the modality's
+    learned token (see :func:`_blend`)."""
+    return _blend(content, bank[modality], replace)
 
 
 def substitute(
@@ -120,8 +119,10 @@ def substitute(
     :func:`mmtlab.model.forward`.
 
     ``flags[m]`` is a boolean (batch,) mask of the samples whose ``m`` is
-    absent. ``zeros`` zeroes their patches before embedding; ``mmt`` swaps
-    their embeddings for the bank's token. ``skip`` substitutes nothing:
+    absent. Every sample's patches are embedded as they are; ``mmt`` then
+    swaps the flagged samples' embeddings for the bank's token, and
+    ``zeros`` for the embedding bias, which is exactly what all-zero
+    patches embed to. ``skip`` substitutes nothing:
     the caller passes only modalities that are present (see
     :func:`substitute_skip`), so a flagged sample there is an error.
     """
@@ -130,11 +131,11 @@ def substitute(
         replace = batch_flags(flags[m], x.shape[0], f"{m} flags")
         if method is SubstitutionMethod.SKIP and replace.any():
             raise ConfigError(f"skip substitutes nothing, but {m} is flagged absent")
-        if method is SubstitutionMethod.ZEROS:
-            x = substitute_zeros(x, replace)
         emb = embed_content(params, m, x)
         if method is SubstitutionMethod.MMT:
             emb = replace_with_mmt(bank, m, emb, replace)
+        elif method is SubstitutionMethod.ZEROS:
+            emb = _blend(emb, params[f"{m}.embed.b"], replace)
         content[m] = emb
     return content
 

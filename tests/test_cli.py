@@ -22,7 +22,7 @@ from mmtlab.config import (
 from mmtlab.errors import ConfigError, InfeasibleRateError, SchemaError
 from mmtlab.missing import MmtBank, SubstitutionMethod
 from mmtlab.model import MODALITIES, MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
-from mmtlab.protocol import MetricsTable, evaluate, make_test_variants
+from mmtlab.protocol import MetricsTable, blob_sha1, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
 from mmtlab.schema import decode
 from mmtlab.synthdata import SynthConfig, _natural_masks, build_schedule, generate
@@ -367,6 +367,99 @@ def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
     assert [k for k in seq if seq[k] != par[k]] == []
 
 
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_train_with_another_config_into_a_scored_run_fails_before_it_writes(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert main(["train", "--config", path]) == 0
+    assert main(["eval", "--config", path]) == 0
+    run = tmp_path / "run"
+    before = tree_bytes(run)
+    train = {**micro_cfg_dict("")["train"], "epochs": 3, "base_lr": 0.01}
+    other = write_cfg(tmp_path, name="other.json", train=train)
+    capsys.readouterr()
+    assert main(["train", "--config", other]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("train.base_lr, train.epochs differ")
+    assert tree_bytes(run) == before
+
+
+def test_sweep_with_another_config_into_one_out_fails_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "sw"
+    sweep = ["--out", str(out), "--axis", "p", "--grid", "0.1"]
+    assert main(["sweep", "--config", write_cfg(tmp_path), *sweep]) == 0
+    before = tree_bytes(out)
+    train = {**micro_cfg_dict("")["train"], "epochs": 3, "base_lr": 0.01}
+    capsys.readouterr()
+    assert main(["sweep", "--config", write_cfg(tmp_path, name="other.json", train=train), *sweep]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("train.base_lr, train.epochs differ")
+    assert tree_bytes(out) == before
+
+
+def test_a_sweep_cell_that_another_config_made_is_not_reused(tmp_path, capsys):
+    # 0.1 and 0.1000001 both name the cell p=0.1, so only the cell's own
+    # config.json tells the two sweeps apart
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out), "--axis", "p", "--grid", "0.1"]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--out", str(out), "--axis", "p", "--grid", "0.1000001"]) == 2
+    [record] = error_records(capsys)
+    assert record["message"].startswith("train.replace_probs.video differ")
+    assert "cells/p=0.1-seed=1/config.json" in record["message"]
+    assert tree_bytes(out) == before
+
+
+def test_train_into_a_directory_that_holds_metrics_fails(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert main(["train", "--config", path]) == 0
+    assert main(["eval", "--config", path]) == 0
+    before = tree_bytes(tmp_path / "run")
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "ConfigError" and "metrics.csv" in record["message"]
+    assert tree_bytes(tmp_path / "run") == before
+
+
+def test_a_sweep_rerun_with_one_more_seed_adds_only_its_cells(tmp_path):
+    out = tmp_path / "sw"
+    sweep = ["--out", str(out), "--axis", "p", "--grid", "0.1,0.6"]
+    assert main(["sweep", "--config", write_cfg(tmp_path), *sweep]) == 0
+    before = tree_bytes(out)
+    assert main(["sweep", "--config", write_cfg(tmp_path, seeds=[1, 2]), *sweep]) == 0
+    after = tree_bytes(out)
+    added = {f"cells/p={v}-seed=2/{name}" for v in ("0.1", "0.6") for name in ("config.json", "model.ckpt", "train_log.json")}
+    assert set(after) == set(before) | added
+    assert [k for k in before if k.startswith("cells/") and before[k] != after[k]] == []
+    rows = after["metrics.csv"].decode().splitlines()
+    assert set(before["metrics.csv"].decode().splitlines()) < set(rows)
+    assert len(rows) == 2 * len(before["metrics.csv"].decode().splitlines()) - 1  # one header
+
+
+def test_the_manifest_names_the_checkpoint_a_command_read(tmp_path):
+    path = write_cfg(tmp_path)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "cold")]) == 0
+    assert main(["pretrain", "--config", path, "--out", str(tmp_path / "pre")]) == 0
+    pretrained = tmp_path / "pre" / "pretrain.ckpt"
+    assert main(["train", "--config", path, "--checkpoint", str(pretrained)]) == 0
+    model = tmp_path / "cold" / "model.ckpt"
+    assert main(["eval", "--config", path, "--checkpoint", str(model), "--out", str(tmp_path / "scored")]) == 0
+
+    def inputs(run: str) -> dict:
+        return json.loads((tmp_path / run / "manifest.json").read_text())["inputs"]
+
+    assert inputs("cold") == {}
+    assert inputs("pre") == {}
+    assert inputs("run") == {"checkpoint": blob_sha1(str(pretrained))}
+    assert inputs("scored") == {"checkpoint": blob_sha1(str(model))}
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_desk_preset_runs_train_eval_report(tmp_path, preset):
     path = micro_preset(tmp_path, preset)
@@ -621,6 +714,7 @@ def test_failing_eval_leaves_the_run_directory_as_it_was(tmp_path, capsys):
         ("r_train", "0,-inf"),
         ("p", "0.1234567,0.1234568"),  # both name the cell p=0.123457
         ("p", "0.25,0.25"),
+        ("p", "0,-0"),  # one value, though -0 would print as another cell name
     ],
 )
 def test_sweep_with_a_bad_grid_creates_nothing(tmp_path, capsys, axis, grid):

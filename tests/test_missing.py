@@ -12,9 +12,8 @@ from mmtlab.missing import (
     replace_with_mmt,
     substitute,
     substitute_skip,
-    substitute_zeros,
 )
-from mmtlab.model import ARCHS, MbtParameters, embed_content, forward
+from mmtlab.model import ARCHS, MODALITIES, MbtParameters, embed_content, forward
 from mmtlab.rng import Stream
 
 from helpers import micro_model_config
@@ -143,16 +142,22 @@ def test_no_gradient_crosses_the_swap_through_the_classifier(arch):
         assert np.abs(bank[m].grad).max() > 0.0, m
 
 
-def test_zeros_substitution_zeroes_raw_patches_only():
+@pytest.mark.parametrize("flagged", [[False, True, False, True, False], [False] * 5, [True] * 5])
+def test_zeros_substitution_embeds_the_zeroed_patches(flagged):
+    # the blend with the embedding bias is the old path: zero the raw
+    # patches of flagged samples, then embed every sample
+    mcfg = micro_model_config()
+    params = MbtParameters.init(mcfg, seed=2)
+    bank = MmtBank.init(mcfg.embed_dim, seed=2)
     rng = np.random.default_rng(4)
-    patches = rng.standard_normal((5, 6, 7))
-    replace = np.array([False, True, False, True, False])
-    out = substitute_zeros(patches, replace)
-    assert np.all(out[replace] == 0.0)
-    np.testing.assert_array_equal(out[~replace], patches[~replace])
-    assert np.abs(patches[replace]).max() > 0  # input untouched
+    flags = {m: np.array(flagged) for m in MODALITIES}
+    patches = {m: rng.standard_normal((5, mcfg.tokens(m), mcfg.patch_dim(m))) for m in MODALITIES}
+    out = substitute(params, bank, patches, flags, SubstitutionMethod.ZEROS)
+    for m, x in patches.items():
+        zeroed = np.where(flags[m][:, None, None], 0.0, x)
+        np.testing.assert_array_equal(out[m].data, embed_content(params, m, zeroed).data)
     with pytest.raises(DimensionError):
-        substitute_zeros(patches, np.zeros(3, dtype=bool))
+        substitute(params, bank, patches, {**flags, "audio": flags["audio"][:3]}, SubstitutionMethod.ZEROS)
 
 
 def test_substitute_builds_content_per_method():
