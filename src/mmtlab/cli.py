@@ -3,17 +3,22 @@
 Every command takes a JSON config (file path or shipped preset name),
 resolves it against desk-scale defaults, and writes its artifacts into
 one output directory: the resolved config, checkpoints, logs, metrics,
-and a manifest of content hashes and of the checkpoint the command read.
-Data is never stored: every command regenerates its split from the seed.
-Reruns with identical inputs leave identical bytes behind.
+and a manifest of content hashes. Data is never stored: every command
+regenerates its split from the seed. Reruns with identical inputs leave
+identical bytes behind.
 
-A directory takes runs of one config only. ``out``, ``seeds``,
-``eval.method`` and ``eval.rates`` may differ, since metric rows are keyed
-by method and rate and sweep cells (runs of their own derived configs,
-under ``cells/``) by seed; any other difference fails before anything is
-written. So the rows and cells that ``eval`` and ``sweep`` find and skip
-are what this config would write again. ``train`` refuses a directory
-that holds ``metrics.csv``, whose rows scored the model it would replace.
+A directory holds one model and the rows it scored: ``eval`` scores
+``<out>/model.ckpt`` and nothing else, as each sweep cell scores its own;
+to score a model under another ``eval.missing`` or test seed, copy its
+file into a fresh ``--out``. A directory takes runs of one config only.
+``out``, ``seeds``, ``eval.method`` and ``eval.rates`` may differ, since
+metric rows are keyed by method and rate and sweep cells (runs of their
+own derived configs, under ``cells/``) by seed, and so may a sweep's own
+``seed``, which no cell reads; any other difference fails before
+anything is written. So the rows and cells that ``eval`` and ``sweep``
+find and skip are what this config would write again. ``train`` refuses
+a directory that holds ``metrics.csv``, whose rows scored the model it
+would replace.
 
 ``eval`` and ``sweep`` fill ``metrics.csv`` the same way, through
 :func:`mmtlab.protocol.sweep` and one per-cell scorer; the forward pass is
@@ -44,7 +49,7 @@ from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, trans
 from .missing import MmtBank, SubstitutionMethod
 from .model import MbtParameters, ModelConfig, decode_header, load_checkpoint, save_checkpoint
 from .optim import FitResult
-from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_manifest
+from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_json
 from .report import render_svg, render_text
 from .synthdata import SynthDataset, generate
 from .training import train
@@ -83,8 +88,9 @@ def _differing(old, new, path: str = "") -> list[str]:
     return [] if old == new else [path[:-1]]
 
 
-def _check_reuse(cfg: RunConfig) -> None:
-    """Reject a run directory whose ``config.json`` records another config."""
+def _check_reuse(cfg: RunConfig, unread: frozenset = frozenset()) -> None:
+    """Reject a run directory whose ``config.json`` records another config,
+    other than in ``unread``: fields the command never reads."""
     path = Path(cfg.out) / "config.json"
     if not path.exists():
         return
@@ -93,7 +99,7 @@ def _check_reuse(cfg: RunConfig) -> None:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from None
     new = json.loads(json.dumps(asdict(cfg)))
-    differ = [d for d in _differing(old, new) if d not in _PER_ROW_OR_CELL]
+    differ = [d for d in _differing(old, new) if d not in _PER_ROW_OR_CELL | unread]
     if differ:
         raise ConfigError(
             f"{', '.join(differ)} differ from the config recorded in {path}; "
@@ -101,11 +107,11 @@ def _check_reuse(cfg: RunConfig) -> None:
         )
 
 
-def _prepare_out(cfg: RunConfig) -> Path:
+def _prepare_out(cfg: RunConfig, unread: frozenset = frozenset()) -> Path:
     """Create the run directory and write the resolved config into it: the
     one place that does. Commands call this only once their inputs have
     been checked; it checks the directory takes this config."""
-    _check_reuse(cfg)
+    _check_reuse(cfg, unread)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(str(out / "config.json"))
@@ -114,19 +120,20 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 def _write_run_manifest(out: Path, command: str, inputs: dict | None = None) -> None:
     """Hash every artifact in the run directory, skipping the volatile log,
-    and record ``inputs``: the SHA-1 of the checkpoint the command read."""
+    and record ``inputs``: the SHA-1 of a checkpoint read from outside it."""
     skip = {"manifest.json", "run.log"}
     files = {}
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name not in skip:
             files[str(p.relative_to(out))] = blob_sha1(str(p))
     manifest = {"command": command, "files": files, "inputs": inputs or {}}
-    write_manifest(str(out / "manifest.json"), manifest)
+    write_json(str(out / "manifest.json"), manifest)
 
 
-def _load_finetune(cfg: RunConfig, path: str) -> tuple[MbtParameters, MmtBank]:
-    """A finetune checkpoint holds model weights plus the token bank; its
-    model must fit the data ``cfg`` generates."""
+def _load_model(cfg: RunConfig) -> tuple[MbtParameters, MmtBank]:
+    """The run's model, ``<cfg.out>/model.ckpt``: a finetune checkpoint of
+    weights and token bank, whose model must fit the data ``cfg`` makes."""
+    path = str(Path(cfg.out) / "model.ckpt")
     arrays, ckpt_cfg, stage = load_checkpoint(path)
     if stage != "finetune":
         raise CheckpointError(f"{path}: expected a finetune checkpoint, got {stage!r}")
@@ -141,14 +148,7 @@ def _load_finetune(cfg: RunConfig, path: str) -> tuple[MbtParameters, MmtBank]:
 
 def _write_fit_log(path: Path, result: FitResult) -> None:
     """The byte-stable record of a fit: per-epoch history, steps, samples."""
-    with open(path, "w") as f:
-        json.dump(
-            {"history": result.history, "steps": result.steps, "kept": result.kept},
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    write_json(str(path), {"history": result.history, "steps": result.steps, "kept": result.kept})
 
 
 def _train_one(cfg: RunConfig, params: MbtParameters) -> None:
@@ -235,9 +235,7 @@ def cmd_eval(args) -> int:
     if args.rtest is not None:
         cfg = replace(cfg, eval=replace(cfg.eval, rates=tuple(_parse_rates(args.rtest))))
     method = SubstitutionMethod.parse(cfg.eval.method)
-    ckpt = args.checkpoint or str(Path(cfg.out) / "model.ckpt")
-    params, bank = _load_finetune(cfg, ckpt)
-    inputs = {"checkpoint": blob_sha1(ckpt)}
+    params, bank = _load_model(cfg)
     out = _prepare_out(cfg)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
     cells = [
@@ -252,7 +250,7 @@ def cmd_eval(args) -> int:
         table,
         str(metrics_path),
     )
-    _write_run_manifest(out, "eval", inputs)
+    _write_run_manifest(out, "eval")
     return 0
 
 
@@ -307,9 +305,11 @@ def cmd_sweep(args) -> int:
             cells[value, seed] = _apply_axis(replace(cfg, seed=seed, out=cell_out), axis, value)
     method = SubstitutionMethod.parse(cfg.eval.method)
     workers = _thread_cap()
-    for run in (cfg, *cells.values()):
-        _check_reuse(run)
-    out = _prepare_out(cfg)
+    unread = frozenset({"seed"})  # cells take ``seeds``
+    _check_reuse(cfg, unread)
+    for cell_cfg in cells.values():
+        _check_reuse(cell_cfg)
+    out = _prepare_out(cfg, unread)
 
     pending = [c for c in cells.values() if not (Path(c.out) / "model.ckpt").exists()]
     if workers > 1 and len(pending) > 1:
@@ -338,7 +338,7 @@ def cmd_sweep(args) -> int:
     def run_cell(cell):
         key = (cell["value"], cell["seed"])
         if key not in loaded:
-            loaded[key] = _load_finetune(cells[key], str(Path(cells[key].out) / "model.ckpt"))
+            loaded[key] = _load_model(cells[key])
         # the axis changes neither the generator nor the eval settings
         ds = generate(cfg.synth, cell["seed"], cfg.data.n_test, split="test")
         return _score_cell(cfg, *loaded[key], ds, method, cell["r_test"])
@@ -388,12 +388,10 @@ def _thread_cap() -> int:
     return cap
 
 
-def _add_common(sub, with_checkpoint=False):
+def _add_common(sub):
     sub.add_argument("--config", help="JSON config file or shipped preset name")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", default=None, help="override the output directory")
-    if with_checkpoint:
-        sub.add_argument("--checkpoint", default=None, help="checkpoint file to start from")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,10 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_common(sub.add_parser("pretrain", help="masked-autoencoder pretraining"))
-    _add_common(sub.add_parser("train", help="supervised training"), with_checkpoint=True)
+    tr = sub.add_parser("train", help="supervised training")
+    _add_common(tr)
+    tr.add_argument("--checkpoint", default=None, help="pretrain checkpoint to start from")
 
-    ev = sub.add_parser("eval", help="accuracy over a missing-rate grid")
-    _add_common(ev, with_checkpoint=True)
+    ev = sub.add_parser("eval", help="accuracy of <out>/model.ckpt over a missing-rate grid")
+    _add_common(ev)
     ev.add_argument("--method", choices=[m.value for m in SubstitutionMethod], default=None)
     ev.add_argument("--rtest", default=None, help="comma-separated percents, e.g. 0,25,50,75,100")
 

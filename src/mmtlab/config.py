@@ -18,8 +18,9 @@ it applies to sweep cells and checkpoint headers:
 
 So an impossible request fails when the config loads. Every command
 writes the fully resolved config (``dataclasses.asdict``) next to its
-outputs, and its ``manifest.json`` names the SHA-1 of any checkpoint it
-read (``inputs``), so a run can be re-derived from its artifacts alone.
+outputs and hashes them into ``manifest.json``. Only ``train
+--checkpoint`` reads a model from outside its directory, and names its
+SHA-1 there (``inputs``), so a run can be re-derived from its artifacts.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ConfigError
 from .mae import MaeConfig, mask_count
 from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
-from .protocol import MetricsTable
+from .protocol import MetricsTable, write_json
 from .schema import decode
 from .synthdata import SynthConfig, missing_count
 from .tokenizer import geometry
@@ -118,9 +119,7 @@ class RunConfig:
                 raise ConfigError(f"mae.mask_ratio_{m}: {e}") from None
 
     def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, asdict(self))
 
 
 def check_feasible_rates(cfg: RunConfig, what: str, modality: str, rates, n: int) -> None:

@@ -220,7 +220,7 @@ def sweep(cells: list[dict], run_cell, table: MetricsTable, path: str) -> Metric
 
 
 # ---------------------------------------------------------------------------
-# run manifests
+# run records
 
 
 def blob_sha1(path: str) -> str:
@@ -233,7 +233,8 @@ def blob_sha1(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path: str, payload: dict) -> None:
+def write_json(path: str, payload: dict) -> None:
+    """Every JSON file a run writes, in one byte-stable form."""
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,10 +1,10 @@
 """The byte-identity recipe: a small end-to-end run keeps every artifact's bytes.
 
-The recipe runs ``pretrain``, ``train``, ``pretrain -> train --checkpoint``,
-``eval`` with the mmt, zeros and skip methods, and ``sweep --axis p --grid
-0,0.25``, each into a fresh directory, on ``epic-kitchens-like`` at seed 7
-(sweep seeds 7 and 8) with 256 train and 128 test samples, 2 train and 2 MAE
-epochs. Every file it writes is hashed except ``config.json`` and
+The recipe runs ``train`` and then ``eval`` with the mmt, zeros and skip
+methods into one directory, and ``pretrain``, ``pretrain -> train
+--checkpoint`` and ``sweep --axis p --grid 0,0.25`` each into a fresh one,
+on ``epic-kitchens-like`` at seed 7 (sweep seeds 7 and 8) with 256 train
+and 128 test samples, 2 train and 2 MAE epochs. Every file it writes is hashed except ``config.json`` and
 ``manifest.json``, which record the run directory's path.
 
 The SHA-1s are pinned in ``tests/data/recipe-sha1.json`` with the stamp of
@@ -68,10 +68,8 @@ def run_recipe(root: Path) -> dict:
         assert main(argv) == 0, argv
 
     run("train", "train")
-    run("eval", "train")
-    model = str(root / "train" / "model.ckpt")
-    for method in ("zeros", "skip"):
-        run("eval", method, "--checkpoint", model, "--method", method)
+    for method in ("mmt", "zeros", "skip"):
+        run("eval", "train", "--method", method)
     run("pretrain", "pretrain")
     run("train", "finetune", "--checkpoint", str(root / "pretrain" / "pretrain.ckpt"))
     run("sweep", "sweep", "--axis", "p", "--grid", "0,0.25")

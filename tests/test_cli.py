@@ -442,22 +442,44 @@ def test_a_sweep_rerun_with_one_more_seed_adds_only_its_cells(tmp_path):
     assert len(rows) == 2 * len(before["metrics.csv"].decode().splitlines()) - 1  # one header
 
 
+def test_a_sweep_rerun_with_another_unread_seed_reuses_the_directory(tmp_path):
+    # cells take ``seeds``; the sweep's own ``seed`` is read by nothing
+    out = tmp_path / "sw"
+    sweep = ["sweep", "--config", write_cfg(tmp_path), "--out", str(out), "--axis", "p", "--grid", "0.1"]
+    assert main(sweep) == 0
+    before = tree_bytes(out)
+    assert main([*sweep, "--seed", "5"]) == 0
+    after = tree_bytes(out)
+    assert set(after) == set(before)
+    assert [k for k in before if before[k] != after[k]] == ["config.json", "manifest.json"]
+    assert json.loads(after["config.json"])["seed"] == 5
+
+
 def test_the_manifest_names_the_checkpoint_a_command_read(tmp_path):
     path = write_cfg(tmp_path)
     assert main(["train", "--config", path, "--out", str(tmp_path / "cold")]) == 0
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "cold")]) == 0
     assert main(["pretrain", "--config", path, "--out", str(tmp_path / "pre")]) == 0
     pretrained = tmp_path / "pre" / "pretrain.ckpt"
     assert main(["train", "--config", path, "--checkpoint", str(pretrained)]) == 0
-    model = tmp_path / "cold" / "model.ckpt"
-    assert main(["eval", "--config", path, "--checkpoint", str(model), "--out", str(tmp_path / "scored")]) == 0
 
-    def inputs(run: str) -> dict:
-        return json.loads((tmp_path / run / "manifest.json").read_text())["inputs"]
+    def manifest(run: str) -> dict:
+        return json.loads((tmp_path / run / "manifest.json").read_text())
 
-    assert inputs("cold") == {}
-    assert inputs("pre") == {}
-    assert inputs("run") == {"checkpoint": blob_sha1(str(pretrained))}
-    assert inputs("scored") == {"checkpoint": blob_sha1(str(model))}
+    # eval read the model in its own directory, which ``files`` hashes
+    scored = manifest("cold")
+    assert scored["command"] == "eval" and scored["inputs"] == {}
+    assert scored["files"]["model.ckpt"] == blob_sha1(str(tmp_path / "cold" / "model.ckpt"))
+    assert manifest("pre")["inputs"] == {}
+    assert manifest("run")["inputs"] == {"checkpoint": blob_sha1(str(pretrained))}
+
+
+def test_eval_takes_no_checkpoint_flag(tmp_path):
+    path = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "--config", path, "--checkpoint", str(tmp_path / "model.ckpt")])
+    assert e.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -586,7 +608,7 @@ def test_sweep_rejects_fractional_fusion_layers(tmp_path, capsys):
 
 def test_missing_checkpoint_yields_error_record(tmp_path, capsys):
     path = write_cfg(tmp_path)
-    code = main(["eval", "--config", path, "--checkpoint", str(tmp_path / "no.ckpt")])
+    code = main(["eval", "--config", path])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "FileNotFoundError"
@@ -617,7 +639,7 @@ def test_corrupted_checkpoint_yields_error_record(tmp_path, capsys, marker):
     blob[blob.index(marker)] = 0xFF
     ckpt.write_bytes(bytes(blob))
     capsys.readouterr()
-    assert main(["eval", "--config", path, "--checkpoint", str(ckpt)]) == 2
+    assert main(["eval", "--config", path]) == 2
     [record] = error_records(capsys)
     assert record["error"] == "CheckpointError"
     assert "is not UTF-8" in record["message"]
@@ -629,9 +651,10 @@ def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys)
     params = MbtParameters.init(mcfg, seed=1)
     legacy = {k: v for k, v in asdict(mcfg).items() if k != "arch"}
     legacy["fusion_mode"] = "bottleneck"  # the field that ``arch`` replaced
-    ckpt = tmp_path / "legacy.ckpt"
+    (tmp_path / "run").mkdir()
+    ckpt = tmp_path / "run" / "model.ckpt"
     save_checkpoint(str(ckpt), params.as_arrays(), {"model": legacy}, stage="finetune")
-    code = main(["eval", "--config", path, "--checkpoint", str(ckpt)])
+    code = main(["eval", "--config", path])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "CheckpointError"
@@ -650,9 +673,10 @@ def test_eval_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys):
     assert main(["train", "--config", one_head]) == 0
     two_heads = micro_preset(tmp_path, "epic-kitchens-like")
     out = tmp_path / "scored"
-    ckpt = str(tmp_path / "run" / "model.ckpt")
+    out.mkdir()
+    shutil.copy(tmp_path / "run" / "model.ckpt", out / "model.ckpt")
     capsys.readouterr()
-    code = main(["eval", "--config", two_heads, "--checkpoint", ckpt, "--out", str(out)])
+    code = main(["eval", "--config", two_heads, "--out", str(out)])
     assert code == 2
     [record] = error_records(capsys)
     assert record["error"] == "ConfigError"
@@ -679,9 +703,10 @@ def test_eval_flags_are_checked_like_the_config_before_anything_is_written(
     path = write_cfg(tmp_path)
     assert main(["train", "--config", path]) == 0
     out = tmp_path / "scored"
-    ckpt = str(tmp_path / "run" / "model.ckpt")
+    out.mkdir()
+    shutil.copy(tmp_path / "run" / "model.ckpt", out / "model.ckpt")
     capsys.readouterr()
-    code = main(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(out), "--rtest", rtest])
+    code = main(["eval", "--config", path, "--out", str(out), "--rtest", rtest])
     assert code == 2
     [record] = error_records(capsys)
     assert record["error"] == "ConfigError"

@@ -18,7 +18,7 @@ from mmtlab.protocol import (
     evaluate,
     make_test_variants,
     sweep,
-    write_manifest,
+    write_json,
 )
 from mmtlab.synthdata import SynthDataset, build_schedule, generate
 
@@ -391,7 +391,7 @@ def test_blob_hash_and_manifest(tmp_path):
     m1 = tmp_path / "m1.json"
     m2 = tmp_path / "m2.json"
     payload = {"b": 1, "a": [1, 2]}
-    write_manifest(str(m1), payload)
-    write_manifest(str(m2), {"a": [1, 2], "b": 1})
+    write_json(str(m1), payload)
+    write_json(str(m2), {"a": [1, 2], "b": 1})
     assert m1.read_bytes() == m2.read_bytes()
     assert json.load(open(m1)) == payload
