@@ -147,8 +147,7 @@ class ParamSet:
 
         The names and shapes must match what ``init`` makes for the same
         arguments; anything else is a checkpoint that does not fit. Values
-        are rounded to ``PARAM_DTYPE``, which is exact for arrays saved
-        from such tensors.
+        are cast to ``PARAM_DTYPE``, the dtype checkpoints store.
         """
         *spec, arrays = args
         template = cls.init(*spec, seed=0).tensors
@@ -480,15 +479,14 @@ def attention_pairs(cfg: ModelConfig) -> int:
 #   u16 stage length + utf8 stage tag,
 #   u32 config length + utf8 JSON,
 #   u32 tensor count, then per tensor:
-#     u16 name length + utf8 name, u8 rank, rank*u32 dims, float64 data.
-# Parameters are float32 in memory. Saving widens them to float64, which is
-# exact, and ``ParamSet.from_arrays`` rounds back to float32, which gives
-# the saved bits again; a checkpoint of float64 parameters loads rounded.
+#     u16 name length + utf8 name, u8 rank, rank*u32 dims, float32 data.
+# Parameters are float32 (``PARAM_DTYPE``), so a save is exact; float64
+# arrays are rounded when saved. Version 1 stored float64 and is not read.
 # JSON/npz alternatives were rejected: npz embeds zip timestamps, which
 # breaks byte-identical reruns, and JSON doubles the size of float payloads.
 
 _MAGIC = b"MMTCKPT1"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(
@@ -508,7 +506,7 @@ def save_checkpoint(
     buf.write(cfg_b)
     buf.write(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        arr = np.asarray(arrays[name], dtype="<f4")  # tobytes() writes C order
         name_b = name.encode()
         buf.write(struct.pack("<H", len(name_b)))
         buf.write(name_b)
@@ -561,11 +559,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, str]:
         name = text(name_len, "tensor name")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_bytes = 8 * int(np.prod(shape, dtype=np.int64)) if rank else 8
-        arr = np.frombuffer(take(n_bytes), dtype="<f8").reshape(shape)
+        n_bytes = 4 * int(np.prod(shape, dtype=np.int64))
+        arr = np.frombuffer(take(n_bytes), dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-        arrays[name] = arr.astype(np.float64)
+        arrays[name] = arr.astype(np.float32)
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
     return arrays, config, stage

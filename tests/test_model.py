@@ -492,9 +492,9 @@ def test_attention_pairs_respect_fusion_layer():
 def test_checkpoint_roundtrip_and_determinism(tmp_path):
     rng = np.random.default_rng(0)
     arrays = {
-        "alpha.w": rng.standard_normal((3, 4)),
-        "beta": rng.standard_normal(5),
-        "scalar": np.array(2.5),
+        "alpha.w": rng.standard_normal((3, 4), dtype=np.float32),
+        "beta": rng.standard_normal(5, dtype=np.float32),
+        "scalar": np.array(2.5, dtype=np.float32),
     }
     cfg = {"layers": 2, "note": "tiny"}
     p1 = tmp_path / "a.ckpt"
@@ -506,7 +506,18 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path):
     assert stage == "pretrain" and cfg2 == cfg
     assert set(loaded) == set(arrays)
     for k in arrays:
-        np.testing.assert_array_equal(loaded[k], arrays[k])
+        assert loaded[k].dtype == np.float32 and loaded[k].flags.writeable
+        assert loaded[k].shape == arrays[k].shape
+        assert loaded[k].tobytes() == arrays[k].tobytes(), k
+
+
+def test_checkpoint_of_another_version_is_rejected(tmp_path):
+    p = tmp_path / "v1.ckpt"
+    save_checkpoint(str(p), {"w": np.ones(2, dtype=np.float32)}, {}, stage="finetune")
+    blob = p.read_bytes()
+    p.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(str(p))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -600,15 +611,16 @@ def test_float32_parameters_roundtrip_bit_for_bit(tmp_path):
         assert got.tobytes() == t.data.tobytes(), name
 
 
-def test_checkpoint_stores_float32_widened_to_little_endian_float64(tmp_path):
+def test_checkpoint_stores_little_endian_float32(tmp_path):
     p = MbtParameters.init(tiny_config(), seed=15)
     narrow, wide = tmp_path / "f32.ckpt", tmp_path / "f64.ckpt"
     save_checkpoint(str(narrow), p.as_arrays(), {}, stage="finetune")
+    # widening is exact, so the float64 copy saves to the same bytes
     widened = {k: v.astype(np.float64) for k, v in p.as_arrays().items()}
     save_checkpoint(str(wide), widened, {}, stage="finetune")
     assert narrow.read_bytes() == wide.read_bytes()
     # "z" sorts last, so its payload ends the file
-    assert narrow.read_bytes().endswith(p["z"].data.astype("<f8").tobytes())
+    assert narrow.read_bytes().endswith(p["z"].data.astype("<f4").tobytes())
 
 
 def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):
