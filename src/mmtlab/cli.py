@@ -23,7 +23,11 @@ would replace.
 ``eval`` and ``sweep`` fill ``metrics.csv`` the same way, through
 :func:`mmtlab.protocol.sweep` and one per-cell scorer; the forward pass is
 the arch stored in each checkpoint's model config, so a model is scored
-the way it was trained.
+the way it was trained. The cells that score one model share one memo of
+its predictions (see :func:`mmtlab.protocol.evaluate`): ``eval`` keeps one
+for the command and ``sweep`` one beside each loaded cell model, so each
+test sample is forwarded once per presence group across the rate grid,
+and a memo never serves another model.
 
 Failures print a one-line JSON error record to stderr and exit 2; a run
 whose loss or logits go non-finite fails so too, as ``FloatingPointError``.
@@ -176,14 +180,16 @@ def _score_cell(
     ds: SynthDataset,
     method: SubstitutionMethod,
     r_test: float,
+    scored: dict,
 ) -> dict:
     """One cell of :func:`sweep`: accuracy per head of one model on the
     test split ``ds``, with ``cfg.eval.missing`` missing at ``r_test``
-    percent under the schedule of the split's seed."""
+    percent under the schedule of the split's seed. ``scored`` is the
+    model's prediction memo, shared by its cells."""
     rate = r_test / 100.0
     variants = make_test_variants(ds.missing[cfg.eval.missing], [rate], ds.seed)
     missing = {**ds.missing, cfg.eval.missing: variants[rate]}
-    res = evaluate(params, bank, ds, missing, method)
+    res = evaluate(params, bank, ds, missing, method, scored=scored)
     log.info("eval at r_test=%g%%, seed %d: mean accuracy %.4f", r_test, ds.seed, res["mean"])
     return {name: (res["per_head"][h], res["n"]) for h, name in enumerate(params.config.head_names)}
 
@@ -244,9 +250,10 @@ def cmd_eval(args) -> int:
     ]
     metrics_path = out / "metrics.csv"
     table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
+    scored: dict = {}
     sweep(
         cells,
-        lambda cell: _score_cell(cfg, params, bank, ds, method, cell["r_test"]),
+        lambda cell: _score_cell(cfg, params, bank, ds, method, cell["r_test"], scored),
         table,
         str(metrics_path),
     )
@@ -333,15 +340,17 @@ def cmd_sweep(args) -> int:
         for r in cfg.eval.rates
     ]
 
+    # each loaded model with its own prediction memo
     loaded: dict[tuple, tuple] = {}
 
     def run_cell(cell):
         key = (cell["value"], cell["seed"])
         if key not in loaded:
-            loaded[key] = _load_model(cells[key])
+            loaded[key] = (*_load_model(cells[key]), {})
         # the axis changes neither the generator nor the eval settings
         ds = generate(cfg.synth, cell["seed"], cfg.data.n_test, split="test")
-        return _score_cell(cfg, *loaded[key], ds, method, cell["r_test"])
+        params, bank, scored = loaded[key]
+        return _score_cell(cfg, params, bank, ds, method, cell["r_test"], scored)
 
     sweep(rows, run_cell, table, str(metrics_path))
     _write_run_manifest(out, "sweep")

@@ -124,7 +124,7 @@ def substitute(
     ``zeros`` for the embedding bias, which is exactly what all-zero
     patches embed to. ``skip`` substitutes nothing:
     the caller passes only modalities that are present (see
-    :func:`substitute_skip`), so a flagged sample there is an error.
+    :func:`presence_groups`), so a flagged sample there is an error.
     """
     content = {}
     for m, x in patches.items():
@@ -140,7 +140,7 @@ def substitute(
     return content
 
 
-def substitute_skip(
+def presence_groups(
     missing: dict[str, np.ndarray],
 ) -> list[tuple[tuple[str, ...], np.ndarray]]:
     """Partition a batch by which modalities remain present.

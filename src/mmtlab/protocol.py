@@ -7,6 +7,16 @@ Evaluation applies a substitution method to the flagged samples on the fly,
 through :func:`mmtlab.missing.substitute`, the one place training uses
 too; stored data is never rewritten. Accuracies land in a
 :class:`MetricsTable` whose CSV form is byte-deterministic.
+
+Every op of the forward pass works per sample, so a sample's prediction
+depends on its own patches and on which modalities it has, not on the
+test rate that flagged it. Scoring one model over a rate grid therefore
+needs each sample forwarded once per presence group it falls in:
+:func:`evaluate` can keep the predictions it made in a memo (``scored``)
+and fill later rates from it. The missing sets nest, so a five-rate grid
+with no natural absences forwards 2n samples instead of 5n. Batches then
+group samples differently from a run without the memo; the tests check
+that this changes no prediction.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .missing import MmtBank, SubstitutionMethod, batch_flags, substitute, substitute_skip
+from .missing import MmtBank, SubstitutionMethod, batch_flags, presence_groups, substitute
 from .model import MODALITIES, MbtParameters, forward
 from .synthdata import SynthDataset, build_schedule
 
@@ -61,13 +71,14 @@ def _predict_group(
     bank: MmtBank,
     ds: SynthDataset,
     idx: np.ndarray,
-    present: tuple[str, ...],
+    embedded: tuple[str, ...],
     missing: dict[str, np.ndarray],
     method: SubstitutionMethod,
 ) -> np.ndarray:
-    """Logits -> (len(idx), heads) label predictions for one presence group."""
-    patches = {m: ds.patches(m)[idx] for m in present}
-    flags = {m: missing[m][idx] for m in present}
+    """Logits -> (len(idx), heads) label predictions for the samples ``idx``,
+    with the modalities ``embedded`` as the model's input."""
+    patches = {m: ds.patches(m)[idx] for m in embedded}
+    flags = {m: missing[m][idx] for m in embedded}
     logits = forward(params, substitute(params, bank, patches, flags, method))
     # argmax would silently pick the first NaN, so refuse to score
     if not all(np.isfinite(l.data).all() for l in logits):
@@ -82,39 +93,53 @@ def evaluate(
     missing: dict[str, np.ndarray],
     method: SubstitutionMethod,
     batch_size: int = 128,
+    scored: dict | None = None,
 ) -> dict:
     """Top-1 accuracy per head over the whole set under one missing pattern.
 
     ``missing`` maps each modality to its flags for this variant (natural
-    absences included). The skip method dispatches per presence group;
-    samples with nothing left are scored wrong and logged. Other methods
-    keep every branch alive via substitution. Only the modalities the
-    model's arch reads are embedded, so a unimodal model scores the
-    samples whose one modality was skipped as wrong.
+    absences included). Samples are scored per presence group: the skip
+    method runs each group on the modalities it has, and samples with
+    nothing left are scored wrong and logged; other methods keep every
+    branch alive via substitution. Only the modalities the model's arch
+    reads are embedded, so a unimodal model scores the samples whose one
+    modality was skipped as wrong.
+
+    ``scored`` is a memo of predictions already made by this same model,
+    shared by the calls that score it over a rate grid. It maps (method,
+    split seed, split name, n, modalities present and read) to an (n,
+    heads) array whose unfilled rows hold -1. A sample's prediction
+    depends only on its data and that key, so a filled row is what a new
+    forward would give; only unfilled rows are forwarded. Without a memo
+    every sample is forwarded. The returned ``preds`` is a fresh array.
     """
     n = len(ds)
     heads = len(params.config.n_classes)
     missing = {m: batch_flags(missing[m], n, f"missing mask for {m}") for m in MODALITIES}
+    scored = {} if scored is None else scored
     preds = np.full((n, heads), -1, dtype=np.int64)
 
-    if method is SubstitutionMethod.SKIP:
-        groups = substitute_skip(missing)
-    else:
-        groups = [(MODALITIES, np.arange(n))]
-
-    for present, idx in groups:
-        if not present:
+    skip = method is SubstitutionMethod.SKIP
+    for present, idx in presence_groups(missing):
+        if skip and not present:
             log.warning(
                 "%d samples missing every modality under skip; scoring them wrong",
                 len(idx),
             )
             continue
         present = tuple(m for m in present if m in params.config.input_modalities)
-        if not present:
+        if skip and not present:
             continue  # the one branch this model has is absent: wrong
-        for lo in range(0, len(idx), batch_size):
-            chunk = idx[lo : lo + batch_size]
-            preds[chunk] = _predict_group(params, bank, ds, chunk, present, missing, method)
+        memo = scored.setdefault(
+            (method.value, ds.seed, ds.split, n, present),
+            np.full((n, heads), -1, dtype=np.int64),
+        )
+        todo = idx[memo[idx, 0] < 0]
+        embedded = present if skip else params.config.input_modalities
+        for lo in range(0, len(todo), batch_size):
+            chunk = todo[lo : lo + batch_size]
+            memo[chunk] = _predict_group(params, bank, ds, chunk, embedded, missing, method)
+        preds[idx] = memo[idx]
 
     per_head = [float((preds[:, h] == ds.labels[:, h]).mean()) for h in range(heads)]
     return {"per_head": per_head, "mean": float(np.mean(per_head)), "n": n, "preds": preds}

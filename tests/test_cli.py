@@ -328,15 +328,30 @@ def test_degenerate_sweep_matches_train_plus_eval(tmp_path):
     assert all(m == "mmt|p=0.25" for m, *_ in swept.rows)
 
 
-def test_sweep_resumes_to_identical_bytes(tmp_path):
-    path = write_cfg(tmp_path)
+SWEEP_FUSION = ("sweep", "--axis", "fusion_layer", "--grid", "0,2")
+EVAL_SKIP = ("eval", "--method", "skip")
+
+
+# every rate writes two rows (heads A and B), so each kept count resumes
+# after another rate, with the model's prediction memo starting empty there
+@pytest.mark.parametrize(
+    "command, kept",
+    [(SWEEP_FUSION, k) for k in (0, 2, 4, 6, 8, 10)] + [(EVAL_SKIP, k) for k in (2, 4)],
+    ids=lambda v: v[0] if isinstance(v, tuple) else str(v),
+)
+def test_sweep_resumes_to_identical_bytes(tmp_path, command, kept):
+    # natural audio absences give skip every presence group, the empty one too
+    synth = {**MICRO_GEO, "natural_missing": {"audio": 0.25}}
+    path = write_cfg(tmp_path, synth=synth)
     out = str(tmp_path / "sw")
-    args = ["sweep", "--config", path, "--out", out, "--axis", "fusion_layer", "--grid", "0,2"]
+    args = [command[0], "--config", path, "--out", out, *command[1:]]
+    if command[0] == "eval":
+        assert main(["train", "--config", path, "--out", out]) == 0
     assert main(args) == 0
     first = (Path(out) / "metrics.csv").read_bytes()
     # drop some rows and rerun: the cells are re-evaluated from cached models
     table = MetricsTable.load(str(Path(out) / "metrics.csv"))
-    table.rows = table.rows[:2]
+    table.rows = table.rows[:kept]
     table.save(str(Path(out) / "metrics.csv"))
     assert main(args) == 0
     assert (Path(out) / "metrics.csv").read_bytes() == first

@@ -8,10 +8,10 @@ from mmtlab.missing import (
     MmtBank,
     SubstitutionMethod,
     check_replace_probs,
+    presence_groups,
     random_replace,
     replace_with_mmt,
     substitute,
-    substitute_skip,
 )
 from mmtlab.model import ARCHS, MODALITIES, MbtParameters, embed_content, forward
 from mmtlab.rng import Stream
@@ -190,7 +190,7 @@ def test_skip_partition_covers_batch_once():
         "audio": np.array([False, True, False, True, False, True]),
         "video": np.array([False, False, True, True, False, True]),
     }
-    groups = substitute_skip(missing)
+    groups = presence_groups(missing)
     seen = np.concatenate([idx for _, idx in groups])
     assert sorted(seen.tolist()) == list(range(6))
     as_dict = {present: idx.tolist() for present, idx in groups}
@@ -205,8 +205,8 @@ def test_skip_partition_group_order_is_deterministic():
         "audio": np.array([True, False]),
         "video": np.array([False, True]),
     }
-    a = substitute_skip(missing)
-    b = substitute_skip(missing)
+    a = presence_groups(missing)
+    b = presence_groups(missing)
     assert [p for p, _ in a] == [p for p, _ in b]
 
 

@@ -10,7 +10,7 @@ from mmtlab import autodiff as ad
 from mmtlab.autodiff import Tensor
 from mmtlab.errors import ConfigError, DataError, InfeasibleRateError
 from mmtlab.missing import MmtBank, SubstitutionMethod, substitute
-from mmtlab.model import MbtParameters, forward
+from mmtlab.model import ARCHS, MbtParameters, forward
 from mmtlab.protocol import (
     MetricsTable,
     blob_sha1,
@@ -282,6 +282,67 @@ def test_unimodal_arch_evaluation(setup):
     missing["video"][:] = True
     gone = evaluate(params, bank, ds, missing, SubstitutionMethod.SKIP)
     assert np.all(gone["preds"] == -1)
+
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.fixture(scope="module")
+def absent_split():
+    # natural absences in both modalities, some samples missing both, so
+    # skip meets every presence group, the empty one included
+    scfg = micro_synth_config(natural_missing={"audio": 0.2, "video": 0.2})
+    ds = generate(scfg, seed=5, n=90, split="test")
+    both = ds.missing["audio"] & ds.missing["video"]
+    assert ds.missing["audio"].any() and ds.missing["video"].any() and both.any()
+    return ds
+
+
+def grid_missing(ds, rate):
+    """Video flagged at ``rate`` of the split on top of the natural
+    absences, in one fixed order, so the rates' missing sets nest."""
+    rank = np.argsort(np.random.default_rng(11).permutation(len(ds)))
+    return {**ds.missing, "video": ds.missing["video"] | (rank < round(rate * len(ds)))}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("method", list(SubstitutionMethod), ids=lambda m: m.value)
+def test_a_memo_shared_over_the_grid_scores_like_fresh_calls(absent_split, method, arch):
+    ds = absent_split
+    mcfg = micro_model_config(arch=arch)
+    params = MbtParameters.init(mcfg, seed=4)
+    bank = MmtBank.init(mcfg.embed_dim, seed=4)
+    scored = {}
+    for rate in GRID:
+        missing = grid_missing(ds, rate)
+        shared = evaluate(params, bank, ds, missing, method, scored=scored)
+        fresh = evaluate(params, bank, ds, missing, method)
+        np.testing.assert_array_equal(shared["preds"], fresh["preds"])
+        assert shared["per_head"] == fresh["per_head"]
+        # the caller owns what it gets back: writing into it leaves the memo alone
+        shared["preds"][:] = 7
+    again = evaluate(params, bank, ds, grid_missing(ds, 0.5), method, scored=scored)
+    want = evaluate(params, bank, ds, grid_missing(ds, 0.5), method)
+    np.testing.assert_array_equal(again["preds"], want["preds"])
+
+
+def test_a_shared_memo_forwards_each_sample_once_per_presence_group(setup, monkeypatch):
+    # no natural absences: rate 0 forwards every sample with both
+    # modalities, and each later rate only the newly flagged ones
+    ds, params, bank = setup
+    forwarded = []
+
+    def counting_forward(p, content):
+        forwarded.append(next(iter(content.values())).shape[0])
+        return forward(p, content)
+
+    monkeypatch.setattr("mmtlab.protocol.forward", counting_forward)
+    variants = make_test_variants(ds.missing["video"], list(GRID), ds.seed)
+    scored = {}
+    for rate in GRID:
+        missing = {**ds.missing, "video": variants[rate]}
+        evaluate(params, bank, ds, missing, SubstitutionMethod.MMT, scored=scored)
+    assert sum(forwarded) == 2 * len(ds)
 
 
 # ---------------------------------------------------------------------------
