@@ -27,7 +27,7 @@ print(f"dL/dw has shape {w.grad.shape}, first row {np.round(w.grad[0], 4)}")
 
 # --- 2. the finite-difference oracle catches wrong backward rules --------
 err = max_relative_error(
-    lambda a, b: ad.sum_(ad.gelu(ad.matmul(a, b))),
+    lambda a, b: ad.mean(ad.gelu(ad.matmul(a, b))),
     [rng.normal(size=(5, 3)), rng.normal(size=(3, 6))],
 )
 print(f"gelu(matmul) max relative error vs central differences: {err:.2e}")

@@ -464,16 +464,6 @@ def mean(a: Tensor) -> Tensor:
     return _record(out)
 
 
-def sum_(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), (a,))
-
-    def backward(g):
-        a.accumulate_owned(np.broadcast_to(g, a.shape).copy())
-
-    out._backward = backward
-    return _record(out)
-
-
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Per-sample row gather: out[b, i] = a[b, idx[b, i]] over the last axis.
 

@@ -20,14 +20,16 @@ find and skip are what this config would write again. ``train`` refuses
 a directory that holds ``metrics.csv``, whose rows scored the model it
 would replace.
 
-``eval`` and ``sweep`` fill ``metrics.csv`` the same way, through
-:func:`mmtlab.protocol.sweep` and one per-cell scorer; the forward pass is
-the arch stored in each checkpoint's model config, so a model is scored
-the way it was trained. The cells that score one model share one memo of
-its predictions (see :func:`mmtlab.protocol.evaluate`): ``eval`` keeps one
-for the command and ``sweep`` one beside each loaded cell model, so each
-test sample is forwarded once per presence group across the rate grid,
-and a memo never serves another model.
+``eval`` and ``sweep`` score through one function, :func:`_score`: it
+builds one row per head of every loaded model at every rate, skips the
+rows ``metrics.csv`` holds, and fills the rest through
+:func:`mmtlab.protocol.sweep`. The forward pass is the arch stored in each
+checkpoint's model config, so a model is scored the way it was trained.
+Each model keeps one memo of its predictions (see
+:func:`mmtlab.protocol.evaluate`), so each test sample is forwarded once
+per presence group across the rate grid, and a memo never serves another
+model. ``eval`` scores on the one test split it generates; ``sweep``
+generates each cell's split again, from the cell's seed.
 
 Failures print a one-line JSON error record to stderr and exit 2; a run
 whose loss or logits go non-finite fails so too, as ``FloatingPointError``.
@@ -48,14 +50,14 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import RunConfig, check_data_compat, load_run_config, preset_path
-from .errors import CheckpointError, ConfigError, MmtlabError, SchemaError
+from .errors import CheckpointError, ConfigError, DataError, MmtlabError, SchemaError
 from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, transfer_encoder
 from .missing import MmtBank, SubstitutionMethod
 from .model import MbtParameters, ModelConfig, decode_header, load_checkpoint, save_checkpoint
 from .optim import FitResult
 from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_json
 from .report import render_svg, render_text
-from .synthdata import SynthDataset, generate
+from .synthdata import generate
 from .training import train
 
 log = logging.getLogger("mmtlab")
@@ -123,12 +125,11 @@ def _prepare_out(cfg: RunConfig, unread: frozenset = frozenset()) -> Path:
 
 
 def _write_run_manifest(out: Path, command: str, inputs: dict | None = None) -> None:
-    """Hash every artifact in the run directory, skipping the volatile log,
-    and record ``inputs``: the SHA-1 of a checkpoint read from outside it."""
-    skip = {"manifest.json", "run.log"}
+    """Hash every artifact in the run directory but the manifest, and record
+    ``inputs``: the SHA-1 of a checkpoint read from outside it."""
     files = {}
     for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name not in skip:
+        if p.is_file() and p.name != "manifest.json":
             files[str(p.relative_to(out))] = blob_sha1(str(p))
     manifest = {"command": command, "files": files, "inputs": inputs or {}}
     write_json(str(out / "manifest.json"), manifest)
@@ -155,9 +156,16 @@ def _write_fit_log(path: Path, result: FitResult) -> None:
     write_json(str(path), {"history": result.history, "steps": result.steps, "kept": result.kept})
 
 
-def _train_one(cfg: RunConfig, params: MbtParameters) -> None:
-    """Train ``params`` into model.ckpt and train_log.json under ``cfg.out``."""
-    out = Path(cfg.out)
+def _train_one(cfg: RunConfig, params: MbtParameters | None = None) -> Path:
+    """Train ``params``, or fresh ones, into model.ckpt and train_log.json
+    under ``cfg.out``, which it prepares; returns that directory.
+
+    Module-level so a process pool can train sweep cells concurrently; each
+    run owns its directory and touches nothing shared.
+    """
+    out = _prepare_out(cfg)
+    if params is None:
+        params = MbtParameters.init(cfg.model, cfg.seed)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_train, split="train")
     bank = MmtBank.init(cfg.model.embed_dim, cfg.seed)
     result = train(params, bank, ds, cfg.train, cfg.seed)
@@ -171,27 +179,54 @@ def _train_one(cfg: RunConfig, params: MbtParameters) -> None:
         result.steps,
         result.history[-1]["loss"],
     )
+    return out
 
 
-def _score_cell(
-    cfg: RunConfig,
-    params: MbtParameters,
-    bank: MmtBank,
-    ds: SynthDataset,
-    method: SubstitutionMethod,
-    r_test: float,
-    scored: dict,
-) -> dict:
-    """One cell of :func:`sweep`: accuracy per head of one model on the
-    test split ``ds``, with ``cfg.eval.missing`` missing at ``r_test``
-    percent under the schedule of the split's seed. ``scored`` is the
-    model's prediction memo, shared by its cells."""
-    rate = r_test / 100.0
-    variants = make_test_variants(ds.missing[cfg.eval.missing], [rate], ds.seed)
-    missing = {**ds.missing, cfg.eval.missing: variants[rate]}
-    res = evaluate(params, bank, ds, missing, method, scored=scored)
-    log.info("eval at r_test=%g%%, seed %d: mean accuracy %.4f", r_test, ds.seed, res["mean"])
-    return {name: (res["per_head"][h], res["n"]) for h, name in enumerate(params.config.head_names)}
+def _score(cfg: RunConfig, command: str, models: dict, test_split) -> None:
+    """Score every model over ``cfg.eval.rates`` into ``<cfg.out>/metrics.csv``
+    and write the run's manifest: the scoring path of ``eval`` and ``sweep``.
+
+    ``models`` maps a row's (method label, seed) to that run's loaded
+    ``(params, bank)``, and ``test_split(seed)`` returns the test split its
+    rows are scored on. A row is one head of one model at one rate, with
+    ``cfg.eval.missing`` missing at that rate under the schedule of the
+    split's seed. Rows the table holds are skipped; every one of them must
+    have scored ``cfg.data.n_test`` samples, so a torn row fails before
+    anything is scored. The rows of one model share one prediction memo.
+    """
+    method = SubstitutionMethod.parse(cfg.eval.method)
+    out = Path(cfg.out)
+    path = out / "metrics.csv"
+    table = MetricsTable.load(str(path)) if path.exists() else MetricsTable()
+    for m, r, h, s, _, n in table.rows:
+        if n != cfg.data.n_test:
+            raise DataError(
+                f"{path}: the row for method {m}, r_test {MetricsTable.rate_label(r)}, head {h}, "
+                f"seed {s} scored n={n} samples, not data.n_test={cfg.data.n_test}; "
+                "delete the row to score it again"
+            )
+    rows = [
+        {"method": label, "r_test": r, "seed": seed, "heads": params.config.head_names}
+        for (label, seed), (params, _) in models.items()
+        for r in cfg.eval.rates
+    ]
+    memos: dict[tuple, dict] = {key: {} for key in models}
+
+    def run_cell(row: dict) -> dict:
+        key = (row["method"], row["seed"])
+        params, bank = models[key]
+        ds = test_split(row["seed"])
+        rate = row["r_test"] / 100.0
+        variants = make_test_variants(ds.missing[cfg.eval.missing], [rate], ds.seed)
+        missing = {**ds.missing, cfg.eval.missing: variants[rate]}
+        res = evaluate(params, bank, ds, missing, method, scored=memos[key])
+        log.info(
+            "eval at r_test=%g%%, seed %d: mean accuracy %.4f", row["r_test"], ds.seed, res["mean"]
+        )
+        return {name: (res["per_head"][h], res["n"]) for h, name in enumerate(params.config.head_names)}
+
+    sweep(rows, run_cell, table, str(path))
+    _write_run_manifest(out, command)
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +249,18 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
-    inputs = {}
+    params, inputs = None, {}
     if args.checkpoint:
         pretrained, _ = load_pretrained(args.checkpoint)
         params = transfer_encoder(pretrained, cfg.model, cfg.seed)
         inputs["checkpoint"] = blob_sha1(args.checkpoint)
-    else:
-        params = MbtParameters.init(cfg.model, cfg.seed)
     _check_reuse(cfg)  # a config that differs is named before the rows are
     if (Path(cfg.out) / "metrics.csv").exists():
         raise ConfigError(
             f"{cfg.out} holds metrics.csv, which scored the model this run would replace; "
             "write this run to another --out"
         )
-    out = _prepare_out(cfg)
-    _train_one(cfg, params)
-    _write_run_manifest(out, "train", inputs)
+    _write_run_manifest(_train_one(cfg, params), "train", inputs)
     return 0
 
 
@@ -240,24 +271,10 @@ def cmd_eval(args) -> int:
         cfg = replace(cfg, eval=replace(cfg.eval, method=args.method))
     if args.rtest is not None:
         cfg = replace(cfg, eval=replace(cfg.eval, rates=tuple(_parse_rates(args.rtest))))
-    method = SubstitutionMethod.parse(cfg.eval.method)
-    params, bank = _load_model(cfg)
-    out = _prepare_out(cfg)
+    models = {(cfg.eval.method, cfg.seed): _load_model(cfg)}
+    _prepare_out(cfg)
     ds = generate(cfg.synth, cfg.seed, cfg.data.n_test, split="test")
-    cells = [
-        {"method": method.value, "r_test": r, "seed": cfg.seed, "heads": params.config.head_names}
-        for r in cfg.eval.rates
-    ]
-    metrics_path = out / "metrics.csv"
-    table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
-    scored: dict = {}
-    sweep(
-        cells,
-        lambda cell: _score_cell(cfg, params, bank, ds, method, cell["r_test"], scored),
-        table,
-        str(metrics_path),
-    )
-    _write_run_manifest(out, "eval")
+    _score(cfg, "eval", models, lambda seed: ds)
     return 0
 
 
@@ -281,16 +298,6 @@ def _cell_name(axis: str, value: float) -> str:
     return f"{axis}={value:g}"
 
 
-def _train_cell(cfg: RunConfig) -> None:
-    """Train one sweep cell: a run of its own config, in its own directory.
-
-    Module-level so a process pool can run cells concurrently; each cell
-    owns its directory and touches nothing shared.
-    """
-    _prepare_out(cfg)
-    _train_one(cfg, MbtParameters.init(cfg.model, cfg.seed))
-
-
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     axis = args.axis
@@ -310,50 +317,27 @@ def cmd_sweep(args) -> int:
         for seed in cfg.seeds:
             cell_out = str(Path(cfg.out) / "cells" / f"{name}-seed={seed}")
             cells[value, seed] = _apply_axis(replace(cfg, seed=seed, out=cell_out), axis, value)
-    method = SubstitutionMethod.parse(cfg.eval.method)
     workers = _thread_cap()
     unread = frozenset({"seed"})  # cells take ``seeds``
     _check_reuse(cfg, unread)
     for cell_cfg in cells.values():
         _check_reuse(cell_cfg)
-    out = _prepare_out(cfg, unread)
+    _prepare_out(cfg, unread)
 
     pending = [c for c in cells.values() if not (Path(c.out) / "model.ckpt").exists()]
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_train_cell, pending))
+            list(pool.map(_train_one, pending))
     else:
         for cell_cfg in pending:
-            _train_cell(cell_cfg)
+            _train_one(cell_cfg)
 
-    metrics_path = out / "metrics.csv"
-    table = MetricsTable.load(str(metrics_path)) if metrics_path.exists() else MetricsTable()
-    rows = [
-        {
-            "method": f"{method.value}|{_cell_name(axis, value)}",
-            "r_test": r,
-            "seed": seed,
-            "heads": cfg.model.head_names,
-            "value": value,
-        }
-        for value, seed in cells
-        for r in cfg.eval.rates
-    ]
-
-    # each loaded model with its own prediction memo
-    loaded: dict[tuple, tuple] = {}
-
-    def run_cell(cell):
-        key = (cell["value"], cell["seed"])
-        if key not in loaded:
-            loaded[key] = (*_load_model(cells[key]), {})
-        # the axis changes neither the generator nor the eval settings
-        ds = generate(cfg.synth, cell["seed"], cfg.data.n_test, split="test")
-        params, bank, scored = loaded[key]
-        return _score_cell(cfg, params, bank, ds, method, cell["r_test"], scored)
-
-    sweep(rows, run_cell, table, str(metrics_path))
-    _write_run_manifest(out, "sweep")
+    models = {
+        (f"{cfg.eval.method}|{_cell_name(axis, value)}", seed): _load_model(cell_cfg)
+        for (value, seed), cell_cfg in cells.items()
+    }
+    # the axis changes neither the generator nor the eval settings
+    _score(cfg, "sweep", models, lambda seed: generate(cfg.synth, seed, cfg.data.n_test, "test"))
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Shared miniature configurations, reference blocks and dtype probes for
-fast tests."""
+"""Shared miniature configurations, reference ops and blocks, and dtype
+probes for fast tests."""
 
 import math
 from dataclasses import replace
@@ -42,6 +42,18 @@ def micro_model_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def sum_(a: Tensor) -> Tensor:
+    """Sum of every element, as a scalar loss for gradchecks and tapes; the
+    model's losses use ``ad.mean``."""
+    out = Tensor(a.data.sum(), (a,))
+
+    def backward(g):
+        a.accumulate_owned(np.broadcast_to(g, a.shape).copy())
+
+    out._backward = backward
+    return ad._record(out)
 
 
 def select_rows(x, rows):

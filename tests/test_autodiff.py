@@ -8,7 +8,7 @@ from mmtlab.autodiff import Tape, Tensor
 from mmtlab.errors import ConfigError, DimensionError
 from mmtlab.gradcheck import max_relative_error
 
-from helpers import reference_attention
+from helpers import reference_attention, sum_
 
 TOL = 1e-5
 
@@ -173,7 +173,7 @@ def test_layer_norm_in_place_matches_the_float64_expression():
         xt, g_out, gt, bt = (Tensor(a.astype(dtype)) for a in inputs)
         with Tape() as tape:
             out = ad.layer_norm(xt, gt, bt)
-            tape.backward(ad.sum_(ad.mul(out, g_out)))
+            tape.backward(sum_(ad.mul(out, g_out)))
         # the same values, widened exactly
         x, g, gain, bias = (t.data.astype(np.float64) for t in (xt, g_out, gt, bt))
         xc = x - x.mean(axis=-1, keepdims=True)
@@ -315,7 +315,7 @@ def test_backward_unlinks_nodes_and_held_intermediates_keep_grad():
     x = Tensor([1.0, 2.0, 3.0])
     with Tape() as t:
         h = ad.mul(x, x)
-        y = ad.sum_(ad.scale(h, 0.5))
+        y = sum_(ad.scale(h, 0.5))
     t.backward(y)
     assert t.nodes == []
     np.testing.assert_allclose(h.grad, [0.5, 0.5, 0.5], atol=1e-12)
@@ -376,7 +376,7 @@ def test_every_op_computes_forward_and_backward_in_float32():
         labels, weights = np.arange(6), np.linspace(0.5, 2.0, 8)  # float64 weights
         loss = ad.add(
             ad.cross_entropy(logits, labels, weights=weights),
-            ad.sum_(ad.log_softmax(logits)),
+            sum_(ad.log_softmax(logits)),
         )
         nodes = list(tape.nodes)  # held here, so they keep their grads
         tape.backward(loss)
@@ -487,7 +487,7 @@ def test_grad_structural_ops():
         [a, b],
     )
     _check(lambda x: ad.mean(ad.broadcast_to(x, (5, 2, 3, 4))), [a])
-    _check(lambda x: ad.sum_(ad.mul(x, x)), [a])
+    _check(lambda x: sum_(ad.mul(x, x)), [a])
 
 
 def test_grad_pick():
@@ -506,7 +506,7 @@ def test_pick_distinct_pairs_match_scatter_add_bit_for_bit():
     rows, cols = np.arange(6), np.array([4, 0, 2, 2, 1, 3])
     w = rng.standard_normal(6).astype(np.float32)
     with Tape() as tape:
-        tape.backward(ad.sum_(ad.mul(ad.pick(a, rows, cols), Tensor(w))))
+        tape.backward(sum_(ad.mul(ad.pick(a, rows, cols), Tensor(w))))
     want = np.zeros_like(a.data)
     np.add.at(want, (rows, cols), w)
     assert a.grad.tobytes() == want.tobytes()
@@ -525,7 +525,7 @@ def test_grad_gather_rows_distinct_indices():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 5, 2))
     idx = np.array([[4, 0, 2], [1, 2, 3], [3, 1, 0]])
-    _check(lambda x: ad.add(ad.sum_(ad.gather_rows(x, idx)), ad.mean(ad.mul(x, x))), [a])
+    _check(lambda x: ad.add(sum_(ad.gather_rows(x, idx)), ad.mean(ad.mul(x, x))), [a])
 
 
 def test_repeated_indices_raise_before_a_node_is_recorded():
@@ -600,7 +600,7 @@ def test_broadcasting_a_parameter_equals_reshape_then_broadcast(shape, target):
         with Tape() as tape:
             src = ad.reshape(p, (1,) * (len(target) - len(shape)) + shape) if reshape_first else p
             out = ad.broadcast_to(src, target)
-            tape.backward(ad.sum_(ad.mul(out, Tensor(w))))
+            tape.backward(sum_(ad.mul(out, Tensor(w))))
         return np.ascontiguousarray(out.data), p.grad
 
     (direct, g_direct), (via, g_via) = run(False), run(True)
@@ -619,7 +619,7 @@ def test_attention_equals_the_softmax_composite_bit_for_bit(heads, dtype):
         x = Tensor(qkv.copy())
         with Tape() as tape:
             out = op(x, heads)
-            tape.backward(ad.sum_(ad.mul(out, Tensor(w))))
+            tape.backward(sum_(ad.mul(out, Tensor(w))))
         return out.data, x.grad
 
     # values that are one-hot per head and key (head width n) make the
@@ -655,7 +655,7 @@ def test_attention_on_rows_equals_the_row_selecting_composite_bit_for_bit(rows, 
         x = Tensor(qkv.copy())
         with Tape() as tape:
             out = op(x, heads, rows)
-            tape.backward(ad.sum_(ad.mul(out, Tensor(w))))
+            tape.backward(sum_(ad.mul(out, Tensor(w))))
         return out.data, x.grad
 
     (out, grad), (ref_out, ref_grad) = run(ad.multi_head_attention), run(reference_attention)
@@ -691,7 +691,7 @@ def test_grad_narrow_pieces_add_into_one_gradient():
 
     def fn(x):
         first = ad.mean(ad.mul(ad.narrow(x, 1, 0, 2), Tensor(w)))
-        overlap = ad.sum_(ad.narrow(x, 1, 1, 2))
+        overlap = sum_(ad.narrow(x, 1, 1, 2))
         return ad.add(ad.add(first, overlap), ad.mean(ad.mul(x, x)))
 
     _check(fn, [a])

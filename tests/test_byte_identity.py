@@ -8,13 +8,15 @@ and 128 test samples, 2 train and 2 MAE epochs. Every file it writes is hashed e
 ``manifest.json``, which record the run directory's path.
 
 The SHA-1s are pinned in ``tests/data/recipe-sha1.json`` with the stamp of
-the host that took them: numpy version, BLAS and CPU. On a host with that
+the host that took them: numpy version, BLAS, the BLAS kernel in use and CPU. On a host with that
 stamp the run must give the pinned SHA-1s. On any other host BLAS kernels
 may round differently, so the recipe runs twice and the two runs must
 agree. A change that moves bytes on purpose rewrites the pin file
 (``PYTHONPATH=src python tests/test_byte_identity.py``) and says which pins moved and why.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import platform
@@ -30,9 +32,23 @@ PINS = Path(__file__).parent / "data" / "recipe-sha1.json"
 UNPINNED = {"recipe.json", "config.json", "manifest.json"}
 
 
+def blas_core() -> str | None:
+    """The kernel the loaded OpenBLAS runs (``OPENBLAS_CORETYPE`` can pick
+    another than the CPU's own), or None when the library does not say."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
 def host_stamp() -> dict:
-    """numpy version, BLAS name and version, CPU model and a digest of its
-    feature flags: what decides the kernels, and so the rounding."""
+    """numpy version, BLAS name, version and kernel, CPU model and a digest
+    of its feature flags: what decides the kernels, and so the rounding."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     info = {}
     try:
@@ -46,6 +62,7 @@ def host_stamp() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": blas_core(),
         "cpu": info.get("model name", platform.processor()),
         "cpu_flags_sha1": hashlib.sha1(flags.encode()).hexdigest(),
     }

@@ -21,7 +21,7 @@ from mmtlab.config import (
 )
 from mmtlab.errors import ConfigError, InfeasibleRateError, SchemaError
 from mmtlab.missing import MmtBank, SubstitutionMethod
-from mmtlab.model import MODALITIES, MbtParameters, ModelConfig, load_checkpoint, save_checkpoint
+from mmtlab.model import MODALITIES, MbtParameters, ModelConfig, forward, load_checkpoint, save_checkpoint
 from mmtlab.protocol import MetricsTable, blob_sha1, evaluate, make_test_variants
 from mmtlab.report import render_svg, render_text
 from mmtlab.schema import decode
@@ -355,6 +355,56 @@ def test_sweep_resumes_to_identical_bytes(tmp_path, command, kept):
     table.save(str(Path(out) / "metrics.csv"))
     assert main(args) == 0
     assert (Path(out) / "metrics.csv").read_bytes() == first
+
+
+def count_forwards(monkeypatch) -> list:
+    """Patch the scoring forward pass to record each batch's size."""
+    forwarded = []
+
+    def counting_forward(params, content):
+        forwarded.append(next(iter(content.values())).shape[0])
+        return forward(params, content)
+
+    monkeypatch.setattr("mmtlab.protocol.forward", counting_forward)
+    return forwarded
+
+
+def test_a_resumed_sweep_over_every_row_forwards_nothing(tmp_path, monkeypatch):
+    # the sweep loads every cell model before scoring; with each row present
+    # it must still forward no sample and leave every byte as it was
+    out = tmp_path / "sw"
+    args = ["sweep", "--config", write_cfg(tmp_path), "--out", str(out), "--axis", "p", "--grid", "0.1,0.6"]
+    assert main(args) == 0
+    before = tree_bytes(out)
+    forwarded = count_forwards(monkeypatch)
+    assert main(args) == 0
+    assert forwarded == []
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", [("eval",), ("sweep", "--axis", "p", "--grid", "0.25")], ids=lambda c: c[0])
+def test_a_torn_metrics_row_fails_before_anything_is_scored(tmp_path, capsys, monkeypatch, command):
+    path = write_cfg(tmp_path)
+    if command[0] == "eval":
+        assert main(["train", "--config", path]) == 0
+    args = [command[0], "--config", path, *command[1:]]
+    assert main(args) == 0
+    # an interrupted write cut the first row's last digit (n 32 -> 3), and
+    # the last row is missing, so the rerun has a row left to score
+    metrics = tmp_path / "run" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    assert lines[1].endswith(",32")
+    metrics.write_text("\n".join([lines[0], lines[1][:-1], *lines[2:-1]]) + "\n")
+    torn = metrics.read_bytes()
+    forwarded = count_forwards(monkeypatch)
+    capsys.readouterr()
+    assert main(args) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "DataError"
+    assert record["message"].startswith(f"{metrics}: ")
+    assert "n=3 samples, not data.n_test=32" in record["message"]
+    assert forwarded == []
+    assert metrics.read_bytes() == torn
 
 
 def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):

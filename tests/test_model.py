@@ -26,7 +26,7 @@ from mmtlab.gradcheck import max_relative_error
 from mmtlab.schema import decode
 from mmtlab.tokenizer import SpectrogramGeometry, VideoGeometry
 
-from helpers import float64_params, reference_block
+from helpers import float64_params, reference_block, sum_
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -294,7 +294,7 @@ def test_selected_rows_path_equals_the_full_path_bit_for_bit(modality):
             p[name].grad = None
         with Tape() as tape:
             seq = with_cls_and_pos(p, modality, embed_content(p, modality, patches, rows), rows)
-            tape.backward(ad.sum_(ad.mul(seq, w)))
+            tape.backward(sum_(ad.mul(seq, w)))
         return seq.data, [p[name].grad for name in names]
 
     full, full_grads = run(None)
@@ -314,7 +314,7 @@ def test_gradients_reach_every_parameter_when_fused():
     with Tape() as tape:
         content = {m: embed_content(p, m, patches[m]) for m in MODALITIES}
         logits = forward(p, content)
-        loss = ad.mean(ad.add(ad.sum_(logits[0]), ad.sum_(logits[1])))
+        loss = ad.mean(ad.add(sum_(logits[0]), sum_(logits[1])))
         tape.backward(loss)
     missing = [name for name, t in p.tensors.items() if t.grad is None]
     assert missing == []
