@@ -45,8 +45,8 @@ def micro_model_config(**overrides) -> ModelConfig:
 
 
 def sum_(a: Tensor) -> Tensor:
-    """Sum of every element, as a scalar loss for gradchecks and tapes; the
-    model's losses use ``ad.mean``."""
+    """Sum of every element: a scalar to run a tape's backward from in
+    gradchecks and gradient tests."""
     out = Tensor(a.data.sum(), (a,))
 
     def backward(g):

@@ -8,10 +8,10 @@ and 128 test samples, 2 train and 2 MAE epochs. Every file it writes is hashed e
 ``manifest.json``, which record the run directory's path.
 
 The SHA-1s are pinned in ``tests/data/recipe-sha1.json`` with the stamp of
-the host that took them: numpy version, BLAS, the BLAS kernel in use and CPU. On a host with that
-stamp the run must give the pinned SHA-1s. On any other host BLAS kernels
-may round differently, so the recipe runs twice and the two runs must
-agree. A change that moves bytes on purpose rewrites the pin file
+the host that took them: numpy version, BLAS and the kernel it runs, and
+CPU. On a host with that stamp the run must give the pinned SHA-1s. On
+any other host BLAS kernels may round differently, so the recipe runs
+twice and the two runs must agree. A change that moves bytes on purpose rewrites the pin file
 (``PYTHONPATH=src python tests/test_byte_identity.py``) and says which pins moved and why.
 """
 
