@@ -5,7 +5,10 @@ resolves it against desk-scale defaults, and writes its artifacts into
 one output directory: the resolved config, checkpoints, logs, metrics,
 and a manifest of content hashes. Data is never stored: every command
 regenerates its split from the seed. Reruns with identical inputs leave
-identical bytes behind.
+identical bytes behind. A file is whole or absent
+(:func:`mmtlab.model.write_artifact`), and a rerun replaces whatever an
+interrupt cut short. The checkpoint is written last and marks a trained
+cell: ``model.ckpt`` is all a sweep's resume checks.
 
 A directory holds one model and the rows it scored: ``eval`` scores
 ``<out>/model.ckpt`` and nothing else, as each sweep cell scores its own;
@@ -53,7 +56,9 @@ from .config import RunConfig, check_data_compat, load_run_config, preset_path
 from .errors import CheckpointError, ConfigError, DataError, MmtlabError, SchemaError
 from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, transfer_encoder
 from .missing import MmtBank, SubstitutionMethod
-from .model import MbtParameters, ModelConfig, decode_header, load_checkpoint, save_checkpoint
+from .model import (
+    MbtParameters, ModelConfig, decode_header, load_checkpoint, save_checkpoint, write_artifact
+)
 from .optim import FitResult
 from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_json
 from .report import render_svg, render_text
@@ -120,16 +125,16 @@ def _prepare_out(cfg: RunConfig, unread: frozenset = frozenset()) -> Path:
     _check_reuse(cfg, unread)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg.save(str(out / "config.json"))
+    write_json(str(out / "config.json"), asdict(cfg))
     return out
 
 
 def _write_run_manifest(out: Path, command: str, inputs: dict | None = None) -> None:
-    """Hash every artifact in the run directory but the manifest, and record
-    ``inputs``: the SHA-1 of a checkpoint read from outside it."""
+    """Hash every file in the run directory but the manifest and ``*.tmp``
+    files, and record ``inputs``: the SHA-1 of a checkpoint read from outside it."""
     files = {}
     for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
+        if p.is_file() and p.name != "manifest.json" and p.suffix != ".tmp":
             files[str(p.relative_to(out))] = blob_sha1(str(p))
     manifest = {"command": command, "files": files, "inputs": inputs or {}}
     write_json(str(out / "manifest.json"), manifest)
@@ -157,8 +162,8 @@ def _write_fit_log(path: Path, result: FitResult) -> None:
 
 
 def _train_one(cfg: RunConfig, params: MbtParameters | None = None) -> Path:
-    """Train ``params``, or fresh ones, into model.ckpt and train_log.json
-    under ``cfg.out``, which it prepares; returns that directory.
+    """Train ``params``, or fresh ones, into train_log.json and then
+    model.ckpt under ``cfg.out``, which it prepares; returns that directory.
 
     Module-level so a process pool can train sweep cells concurrently; each
     run owns its directory and touches nothing shared.
@@ -171,8 +176,8 @@ def _train_one(cfg: RunConfig, params: MbtParameters | None = None) -> Path:
     result = train(params, bank, ds, cfg.train, cfg.seed)
     arrays = {**params.as_arrays(), **bank.as_arrays()}
     ckpt_cfg = {"model": asdict(cfg.model), "train": asdict(cfg.train)}
-    save_checkpoint(str(out / "model.ckpt"), arrays, ckpt_cfg, stage="finetune")
     _write_fit_log(out / "train_log.json", result)
+    save_checkpoint(str(out / "model.ckpt"), arrays, ckpt_cfg, stage="finetune")
     log.info(
         "trained %d samples for %d steps, final loss %.4f",
         result.kept,
@@ -240,8 +245,8 @@ def cmd_pretrain(args) -> int:
     params = MbtParameters.init(cfg.model, cfg.seed)
     dec = MaeDecoders.init(cfg.model, cfg.mae, cfg.seed)
     result = mae_train(params, dec, ds, cfg.mae, cfg.seed)
-    save_pretrained(str(out / "pretrain.ckpt"), params, dec)
     _write_fit_log(out / "pretrain_log.json", result)
+    save_pretrained(str(out / "pretrain.ckpt"), params, dec)
     log.info("pretrained on %d samples, final loss %.4f", result.kept, result.history[-1]["loss"])
     _write_run_manifest(out, "pretrain")
     return 0
@@ -346,10 +351,8 @@ def cmd_report(args) -> int:
     out = Path(args.out) if args.out else Path(args.metrics).resolve().parent
     out.mkdir(parents=True, exist_ok=True)
     text = render_text(table)
-    with open(out / "report.txt", "w") as f:
-        f.write(text)
-    with open(out / "report.svg", "w") as f:
-        f.write(render_svg(table))
+    write_artifact(str(out / "report.txt"), text.encode())
+    write_artifact(str(out / "report.svg"), render_svg(table).encode())
     sys.stdout.write(text)
     return 0
 

@@ -26,14 +26,14 @@ SHA-1 there (``inputs``), so a run can be re-derived from its artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import ConfigError
 from .mae import MaeConfig, mask_count
 from .missing import SubstitutionMethod
 from .model import MODALITIES, ModelConfig
-from .protocol import MetricsTable, write_json
+from .protocol import MetricsTable
 from .schema import decode
 from .synthdata import SynthConfig, missing_count
 from .tokenizer import geometry
@@ -117,9 +117,6 @@ class RunConfig:
                 mask_count(self.mae.mask_ratio(m), self.model.tokens(m))
             except ConfigError as e:
                 raise ConfigError(f"mae.mask_ratio_{m}: {e}") from None
-
-    def save(self, path: str) -> None:
-        write_json(path, asdict(self))
 
 
 def check_feasible_rates(cfg: RunConfig, what: str, modality: str, rates, n: int) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -489,6 +490,16 @@ _MAGIC = b"MMTCKPT1"
 _VERSION = 2
 
 
+def write_artifact(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all: every file a run writes
+    lands here. The bytes go to ``<path>.tmp`` beside it, which ``os.replace``
+    renames over ``path``, so a killed process leaves at most that ``.tmp``
+    and the next write replaces it. There is no fsync: a power cut is not covered."""
+    with open(f"{path}.tmp", "wb") as f:
+        f.write(data)
+    os.replace(f"{path}.tmp", path)
+
+
 def save_checkpoint(
     path: str,
     arrays: dict[str, np.ndarray],
@@ -513,8 +524,7 @@ def save_checkpoint(
         buf.write(struct.pack("<B", arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    write_artifact(path, buf.getvalue())
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, str]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .missing import MmtBank, SubstitutionMethod, batch_flags, presence_groups, substitute
-from .model import MODALITIES, MbtParameters, forward
+from .model import MODALITIES, MbtParameters, forward, write_artifact
 from .synthdata import SynthDataset, build_schedule
 
 log = logging.getLogger("mmtlab")
@@ -199,8 +199,7 @@ class MetricsTable:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_csv())
+        write_artifact(path, self.to_csv().encode())
 
     @classmethod
     def load(cls, path: str) -> "MetricsTable":
@@ -226,9 +225,9 @@ def sweep(cells: list[dict], run_cell, table: MetricsTable, path: str) -> Metric
     Each cell dict carries ``method``, ``r_test``, ``seed``, ``heads`` plus
     whatever ``run_cell`` needs; ``run_cell(cell)`` returns {head_name:
     (accuracy, n)}, and only the heads the table lacks are added. The
-    table is saved after every new cell so an interrupted sweep resumes
-    where it stopped, and a resumed sweep's final file is identical to an
-    uninterrupted one because rows are sorted on save.
+    table is saved whole after each new cell, and only then, so an
+    interrupted sweep resumes from the cells it finished, and a resumed
+    sweep's final file is identical to an uninterrupted one: rows are sorted on save.
     """
     for cell in cells:
         method, r_test, seed = cell["method"], cell["r_test"], cell["seed"]
@@ -240,7 +239,6 @@ def sweep(cells: list[dict], run_cell, table: MetricsTable, path: str) -> Metric
             acc, n = results[head]
             table.add(method, r_test, head, seed, acc, n)
         table.save(path)
-    table.save(path)
     return table
 
 
@@ -259,7 +257,5 @@ def blob_sha1(path: str) -> str:
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Every JSON file a run writes, in one byte-stable form."""
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Every JSON file a run writes, whole and in one byte-stable form."""
+    write_artifact(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())

@@ -13,16 +13,25 @@ CPU. On a host with that stamp the run must give the pinned SHA-1s. On
 any other host BLAS kernels may round differently, so the recipe runs
 twice and the two runs must agree. A change that moves bytes on purpose rewrites the pin file
 (``PYTHONPATH=src python tests/test_byte_identity.py``) and says which pins moved and why.
+
+Two runs that agree can still both be wrong, so on every host the recipe's
+numbers must also match the pinned ones: each ``metrics.csv`` accuracy and
+each fit log's final loss, within the tolerances in the pin file's
+``numbers`` section. Those were calibrated on the pinning host by running
+the recipe under each OpenBLAS core type it loads (``OPENBLAS_CORETYPE``);
+rewriting the pins keeps them.
 """
 
 import ctypes
 import glob
 import hashlib
 import json
+import math
 import platform
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mmtlab.cli import main
 from mmtlab.config import preset_path
@@ -97,10 +106,47 @@ def run_recipe(root: Path) -> dict:
     }
 
 
+def recipe_numbers(root: Path) -> dict:
+    """The recipe's numbers under ``root``: each ``metrics.csv`` row's
+    accuracy, keyed by the file and the row's method, r_test, head and seed,
+    and each fit log's final loss, keyed by the file."""
+    accuracy = {
+        f"{p.relative_to(root)}: {','.join(row[:4])}": float(row[4])
+        for p in sorted(root.rglob("metrics.csv"))
+        for row in (line.split(",") for line in p.read_text().splitlines()[1:])
+    }
+    final_loss = {
+        str(p.relative_to(root)): json.loads(p.read_text())["history"][-1]["loss"]
+        for p in sorted(root.rglob("*_log.json"))
+    }
+    return {"accuracy": accuracy, "final_loss": final_loss}
+
+
+def numbers_off(pinned: dict, got: dict) -> list[str]:
+    """The numbers in ``got`` that are missing, unpinned or further from the
+    ``pinned`` ones than their tolerance: absolute for an accuracy, relative
+    for a final loss."""
+    tol = pinned["tolerance"]
+    close = {
+        "accuracy": lambda a, b: abs(a - b) <= tol["accuracy_abs"],
+        "final_loss": lambda a, b: math.isclose(a, b, rel_tol=tol["final_loss_rel"]),
+    }
+    return [
+        f"{kind} {key}: {got[kind].get(key)}, pinned {pinned[kind].get(key)}"
+        for kind in close
+        for key in sorted(pinned[kind].keys() | got[kind].keys())
+        if key not in pinned[kind]
+        or key not in got[kind]
+        or not close[kind](got[kind][key], pinned[kind][key])
+    ]
+
+
 def test_recipe_keeps_every_artifact_byte_for_byte(tmp_path, monkeypatch):
     monkeypatch.delenv("MMTLAB_THREADS", raising=False)
     pins = json.loads(PINS.read_text())
     got = run_recipe(tmp_path / "first")
+    off = numbers_off(pins["numbers"], recipe_numbers(tmp_path / "first"))
+    assert not off, f"recipe numbers moved past the tolerances in {PINS}: {off}"
     if pins["stamp"] == host_stamp():
         want, against = pins["sha1"], f"the pins in {PINS}"
     else:
@@ -113,10 +159,26 @@ def test_recipe_keeps_every_artifact_byte_for_byte(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("kind", ["accuracy", "final_loss"])
+def test_a_number_moved_past_its_tolerance_is_caught(kind):
+    pinned = json.loads(PINS.read_text())["numbers"]
+    key = sorted(pinned[kind])[0]
+    tol = pinned["tolerance"]
+    step = tol["accuracy_abs"] if kind == "accuracy" else tol["final_loss_rel"] * abs(pinned[kind][key])
+    for factor, caught in [(0.5, False), (-0.5, False), (2.0, True), (-2.0, True)]:
+        got = {k: dict(pinned[k]) for k in ("accuracy", "final_loss")}
+        got[kind][key] += factor * step
+        assert len(numbers_off(pinned, got)) == caught, (key, factor)
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         sha1 = run_recipe(Path(tmp) / "run")
-    PINS.write_text(json.dumps({"stamp": host_stamp(), "sha1": sha1}, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(sha1)} pins to {PINS}")
+        numbers = recipe_numbers(Path(tmp) / "run")
+    # the tolerances and their calibration are set by hand and kept
+    kept = {k: json.loads(PINS.read_text())["numbers"][k] for k in ("tolerance", "calibration")}
+    pins = {"stamp": host_stamp(), "sha1": sha1, "numbers": {**numbers, **kept}}
+    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(sha1)} SHA-1 pins and {sum(map(len, numbers.values()))} numbers to {PINS}")

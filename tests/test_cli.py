@@ -1,6 +1,8 @@
 """Config schema, command pipeline, reports, and reproducibility."""
 
+import ast
 import json
+import os
 import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmtlab
 from mmtlab.cli import main
 from mmtlab.config import (
     EvalConfig,
@@ -405,6 +408,142 @@ def test_a_torn_metrics_row_fails_before_anything_is_scored(tmp_path, capsys, mo
     assert "n=3 samples, not data.n_test=32" in record["message"]
     assert forwarded == []
     assert metrics.read_bytes() == torn
+
+
+class Interrupted(BaseException):
+    """A process killed mid-command: nothing in the program catches it."""
+
+
+def interrupt_write(monkeypatch, target: Path, cut: int | None) -> None:
+    """Kill the first write of ``target``: after ``cut`` bytes reach the
+    file, or, with ``cut`` None, once the bytes are written and before they
+    are renamed into place."""
+    real_open, real_replace, opened = open, os.replace, []
+
+    class CutShort:
+        def __init__(self, f):
+            self.f, self.left = f, cut
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            if len(data) > self.left:
+                self.f.write(data[: self.left])
+                raise Interrupted(f"killed after {cut} bytes of {target}")
+            self.left -= len(data)
+            return self.f.write(data)
+
+    def cutting_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        writes = set(mode) & set("wax") and str(file) in (str(target), f"{target}.tmp")
+        if cut is None or opened or not writes:
+            return f
+        opened.append(file)
+        return CutShort(f)
+
+    def stopping_replace(src, dst):
+        if cut is None and str(dst) == str(target):
+            raise Interrupted(f"killed before {target} was renamed into place")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("builtins.open", cutting_open)
+    monkeypatch.setattr(os, "replace", stopping_replace)
+
+
+CUT_CELL = "cells/p=0.25-seed=2"  # the last cell the sweep trains
+
+
+@pytest.fixture
+def whole_sweep(tmp_path, monkeypatch) -> tuple[list, Path, dict]:
+    """A sweep's argv, its run directory (removed) and the bytes an
+    uninterrupted run leaves there."""
+    monkeypatch.delenv("MMTLAB_THREADS", raising=False)
+    out = tmp_path / "sw"
+    cfg = write_cfg(tmp_path, seeds=[1, 2])
+    argv = ["sweep", "--config", cfg, "--out", str(out), "--axis", "p", "--grid", "0,0.25"]
+    assert main(argv) == 0
+    whole = tree_bytes(out)
+    shutil.rmtree(out)
+    return argv, out, whole
+
+
+@pytest.mark.parametrize(
+    "name, cut",
+    [
+        (f"{CUT_CELL}/model.ckpt", 1000),
+        (f"{CUT_CELL}/train_log.json", 10),
+        ("metrics.csv", 50),
+        ("config.json", 20),
+        (f"{CUT_CELL}/model.ckpt", None),
+    ],
+    ids=["model.ckpt", "train_log.json", "metrics.csv", "config.json", "model.ckpt-before-rename"],
+)
+def test_a_sweep_killed_mid_write_resumes_to_the_uninterrupted_bytes(whole_sweep, monkeypatch, name, cut):
+    argv, out, whole = whole_sweep
+    with monkeypatch.context() as m:
+        interrupt_write(m, out / name, cut)
+        with pytest.raises(Interrupted):
+            main(argv)
+    if name.endswith("train_log.json"):
+        # the checkpoint is written last, so this cell does not count as trained
+        assert not (out / CUT_CELL / "model.ckpt").exists()
+    assert main(argv) == 0
+    assert list(out.rglob("*.tmp")) == []
+    assert tree_bytes(out) == whole
+
+
+def test_a_stray_tmp_file_stays_out_of_the_manifest(whole_sweep):
+    argv, out, whole = whole_sweep
+    assert main(argv) == 0
+    # a temp file left under a cell that is no longer in the grid
+    stray = out / "cells" / "p=0.5-seed=1" / "model.ckpt.tmp"
+    stray.parent.mkdir()
+    stray.write_bytes(b"half a checkpoint")
+    assert main(argv) == 0
+    stray.unlink()
+    assert tree_bytes(out) == whole
+
+
+def writes_outside_write_artifact(path: Path) -> list[str]:
+    """Calls in ``path`` that open a file for writing (a ``w``, ``a`` or
+    ``x`` mode, or one that is not a literal) or call ``write_text`` or
+    ``write_bytes``, outside a function named ``write_artifact``."""
+    tree = ast.parse(path.read_text())
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "write_artifact"
+        for node in ast.walk(fn)
+    }
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in allowed:
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            # open(path, mode) and io.open(path, mode), or a Path's .open(mode)
+            builtin = isinstance(func, ast.Name) or getattr(func.value, "id", None) in ("io", "builtins")
+            at = 1 if builtin else 0
+            mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+            if mode is None and len(call.args) > at:
+                mode = call.args[at]
+            reads = mode is None or (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax"))
+            if reads:
+                continue
+        elif name not in ("write_text", "write_bytes"):
+            continue
+        found.append(f"{path.name}:{call.lineno}")
+    return found
+
+
+def test_only_write_artifact_opens_a_file_for_writing():
+    sources = sorted(Path(mmtlab.__file__).parent.glob("*.py"))
+    assert [hit for path in sources for hit in writes_outside_write_artifact(path)] == []
 
 
 def test_parallel_sweep_matches_sequential(tmp_path, monkeypatch):
