@@ -53,12 +53,10 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import RunConfig, check_data_compat, load_run_config, preset_path
-from .errors import CheckpointError, ConfigError, DataError, MmtlabError, SchemaError
+from .errors import ConfigError, DataError, MmtlabError, SchemaError
 from .mae import MaeDecoders, load_pretrained, mae_train, save_pretrained, transfer_encoder
 from .missing import MmtBank, SubstitutionMethod
-from .model import (
-    MbtParameters, ModelConfig, decode_header, load_checkpoint, save_checkpoint, write_artifact
-)
+from .model import MbtParameters, ModelConfig, read_checkpoint, save_checkpoint, write_artifact
 from .optim import FitResult
 from .protocol import MetricsTable, blob_sha1, evaluate, make_test_variants, sweep, write_json
 from .report import render_svg, render_text
@@ -144,10 +142,8 @@ def _load_model(cfg: RunConfig) -> tuple[MbtParameters, MmtBank]:
     """The run's model, ``<cfg.out>/model.ckpt``: a finetune checkpoint of
     weights and token bank, whose model must fit the data ``cfg`` makes."""
     path = str(Path(cfg.out) / "model.ckpt")
-    arrays, ckpt_cfg, stage = load_checkpoint(path)
-    if stage != "finetune":
-        raise CheckpointError(f"{path}: expected a finetune checkpoint, got {stage!r}")
-    mcfg = decode_header(ModelConfig, ckpt_cfg, "model", path)
+    arrays, saved = read_checkpoint(path, "finetune", {"model": ModelConfig})
+    mcfg = saved["model"]
     mmt = {k: v for k, v in arrays.items() if k.startswith("mmt.")}
     rest = {k: v for k, v in arrays.items() if not k.startswith("mmt.")}
     params = MbtParameters.from_arrays(mcfg, rest)

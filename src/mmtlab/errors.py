@@ -21,18 +21,6 @@ class SchemaError(ConfigError):
         self.offending_keys = tuple(offending_keys)
 
 
-class InfeasibleRateError(MmtlabError, ValueError):
-    """Requested missing rate is below the natural rate of the data."""
-
-    def __init__(self, requested, natural):
-        super().__init__(
-            f"requested missing rate {requested:.4f} is below the natural "
-            f"rate {natural:.4f}; existing missing data cannot be restored"
-        )
-        self.requested = requested
-        self.natural = natural
-
-
 class DataError(MmtlabError, ValueError):
     """A data record is inconsistent (e.g. out-of-range label)."""
 

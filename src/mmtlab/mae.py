@@ -34,13 +34,12 @@ from .model import (
     MbtParameters,
     ModelConfig,
     ParamSet,
-    decode_header,
     embed_content,
     encode_sequences,
     init_block,
-    load_checkpoint,
     normal_init,
     ones,
+    read_checkpoint,
     run_block,
     save_checkpoint,
     with_cls_and_pos,
@@ -266,11 +265,10 @@ def save_pretrained(path: str, params: MbtParameters, dec: MaeDecoders) -> None:
 
 
 def load_pretrained(path: str) -> tuple[MbtParameters, MaeDecoders]:
-    arrays, config, stage = load_checkpoint(path)
-    if stage != "pretrain":
-        raise CheckpointError(f"expected a pretrain checkpoint, got stage {stage!r}")
-    mcfg = decode_header(ModelConfig, config, "model", path)
-    acfg = decode_header(MaeConfig, config, "mae", path)
+    """The encoder and decoders of the pretrain checkpoint at ``path``; a
+    file :func:`mmtlab.model.read_checkpoint` refuses names ``path``."""
+    arrays, saved = read_checkpoint(path, "pretrain", {"model": ModelConfig, "mae": MaeConfig})
+    mcfg, acfg = saved["model"], saved["mae"]
     enc = {k: v for k, v in arrays.items() if ".dec." not in k}
     rest = {k: v for k, v in arrays.items() if ".dec." in k}
     return MbtParameters.from_arrays(mcfg, enc), MaeDecoders.from_arrays(mcfg, acfg, rest)

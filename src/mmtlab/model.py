@@ -91,6 +91,10 @@ class ModelConfig:
             raise ConfigError("every classification head needs at least two classes")
         if len(self.head_names) != len(self.n_classes):
             raise ConfigError("head_names must match n_classes in length")
+        if len(set(self.head_names)) < len(self.head_names):
+            raise ConfigError(f"head_names {list(self.head_names)} repeat a name; metrics.csv keys rows by head")
+        if any(c in h for h in self.head_names for c in ",\n\r"):
+            raise ConfigError(f"head_names {list(self.head_names)}: a ',', '\\n' or '\\r' breaks metrics.csv")
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
 
@@ -579,13 +583,19 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, str]:
     return arrays, config, stage
 
 
-def decode_header(cls, config: dict, section: str, path: str):
-    """Section ``section`` of a checkpoint's config, decoded as ``cls``.
-
-    A header that does not decode was written by another version; that is
-    a CheckpointError naming the keys that do not fit.
-    """
-    try:
-        return decode(cls, config.get(section))
-    except SchemaError as e:
-        raise CheckpointError(f"{path}: saved {section} config does not fit: {e}") from None
+def read_checkpoint(path: str, stage: str, sections: dict) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors of the ``stage`` checkpoint at ``path`` and its config
+    sections, each decoded as the class ``sections`` maps its key to. A file
+    :func:`load_checkpoint` refuses, another stage, or a section that does
+    not decode (another version wrote it; the error names the keys that do
+    not fit) is a CheckpointError naming ``path``."""
+    arrays, config, found = load_checkpoint(path)
+    if found != stage:
+        raise CheckpointError(f"{path}: expected a {stage} checkpoint, got {found!r}")
+    decoded = {}
+    for section, cls in sections.items():
+        try:
+            decoded[section] = decode(cls, config.get(section))
+        except SchemaError as e:
+            raise CheckpointError(f"{path}: saved {section} config does not fit: {e}") from None
+    return arrays, decoded

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import ConfigError, InfeasibleRateError
+from .errors import ConfigError
 from .rng import Stream, sample_rng
 from .tokenizer import (
     DESK_AUDIO,
@@ -255,12 +255,18 @@ class MissingnessSchedule:
     natural_count: int
 
     def mask_at(self, rate: float) -> np.ndarray:
+        """The first ``missing_count(rate, n)`` ids of ``order``. A rate below
+        the natural absences is the ConfigError that
+        :func:`mmtlab.config.check_feasible_rates` raises for it at load."""
         if not 0.0 <= rate <= 1.0:
             raise ConfigError(f"rate {rate} outside [0, 1]")
         n = len(self.order)
         count = missing_count(rate, n)
         if count < self.natural_count:
-            raise InfeasibleRateError(rate, self.natural_count / n)
+            raise ConfigError(
+                f"requested missing rate {rate:.4f} is below the natural rate "
+                f"{self.natural_count / n:.4f}; existing missing data cannot be restored"
+            )
         mask = np.zeros(n, dtype=bool)
         mask[self.order[:count]] = True
         return mask

@@ -22,7 +22,7 @@ from mmtlab.config import (
     load_run_config,
     preset_path,
 )
-from mmtlab.errors import ConfigError, InfeasibleRateError, SchemaError
+from mmtlab.errors import ConfigError, SchemaError
 from mmtlab.missing import MmtBank, SubstitutionMethod
 from mmtlab.model import MODALITIES, MbtParameters, ModelConfig, forward, load_checkpoint, save_checkpoint
 from mmtlab.protocol import MetricsTable, blob_sha1, evaluate, make_test_variants
@@ -200,7 +200,7 @@ def test_eval_rates_below_the_natural_rate_fail_at_load():
 def accepts(check, *args) -> bool:
     try:
         check(*args)
-    except (ConfigError, InfeasibleRateError):
+    except ConfigError:
         return False
     return True
 
@@ -758,6 +758,10 @@ def test_infeasible_r_train_grid_fails_before_training(tmp_path, capsys):
         ),
         # 20% of 4 audio tokens masks none
         ("pretrain", {"mae": {"mask_ratio_audio": 0.2}}, "mae.mask_ratio_audio"),
+        # a head name keys metrics.csv rows: a separator tears them, a repeat clashes
+        ("train", {"model": {"head_names": ["A,x", "B"]}}, "head_names"),
+        ("train", {"model": {"head_names": ["A\nx", "B"]}}, "head_names"),
+        ("train", {"model": {"head_names": ["A", "A"]}}, "head_names"),
     ],
 )
 def test_impossible_requests_fail_at_load_before_anything_is_written(
@@ -863,6 +867,29 @@ def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys)
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "CheckpointError"
     assert "fusion_mode" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_checkpoint_of_the_other_stage_fails_naming_the_file(tmp_path, capsys, command):
+    # eval reads a finetune model.ckpt and train --checkpoint a pretrain one:
+    # hand each the other stage's file
+    path = write_cfg(tmp_path)
+    ckpt = tmp_path / "run" / "model.ckpt"
+    if command == "eval":
+        assert main(["pretrain", "--config", path]) == 0
+        (tmp_path / "run" / "pretrain.ckpt").rename(ckpt)
+        argv, want = ["eval", "--config", path], "finetune"
+    else:
+        assert main(["train", "--config", path]) == 0
+        argv = ["train", "--config", path, "--out", str(tmp_path / "fresh"), "--checkpoint", str(ckpt)]
+        want = "pretrain"
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "CheckpointError"
+    assert record["message"].startswith(f"{ckpt}: expected a {want} checkpoint")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def error_records(capsys) -> list[dict]:

@@ -8,7 +8,7 @@ import pytest
 from helpers import micro_model_config, micro_synth_config
 from mmtlab import autodiff as ad
 from mmtlab.autodiff import Tensor
-from mmtlab.errors import ConfigError, DataError, InfeasibleRateError
+from mmtlab.errors import ConfigError, DataError
 from mmtlab.missing import MmtBank, SubstitutionMethod, substitute
 from mmtlab.model import ARCHS, MbtParameters, forward
 from mmtlab.protocol import (
@@ -52,7 +52,7 @@ def test_schedule_rejects_infeasible_rate():
     natural = np.zeros(10, dtype=bool)
     natural[:3] = True
     s = build_schedule(natural, seed=0, stream="train-missing")
-    with pytest.raises(InfeasibleRateError, match="cannot be restored"):
+    with pytest.raises(ConfigError, match="cannot be restored"):
         s.mask_at(0.1)
     np.testing.assert_array_equal(s.mask_at(0.3), natural)
     with pytest.raises(ConfigError):
