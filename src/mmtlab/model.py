@@ -587,8 +587,8 @@ def read_checkpoint(path: str, stage: str, sections: dict) -> tuple[dict[str, np
     """The tensors of the ``stage`` checkpoint at ``path`` and its config
     sections, each decoded as the class ``sections`` maps its key to. A file
     :func:`load_checkpoint` refuses, another stage, or a section that does
-    not decode (another version wrote it; the error names the keys that do
-    not fit) is a CheckpointError naming ``path``."""
+    not decode or that its class refuses (another version wrote it; the
+    error names what does not fit) is a CheckpointError naming ``path``."""
     arrays, config, found = load_checkpoint(path)
     if found != stage:
         raise CheckpointError(f"{path}: expected a {stage} checkpoint, got {found!r}")
@@ -596,6 +596,6 @@ def read_checkpoint(path: str, stage: str, sections: dict) -> tuple[dict[str, np
     for section, cls in sections.items():
         try:
             decoded[section] = decode(cls, config.get(section))
-        except SchemaError as e:
+        except ConfigError as e:
             raise CheckpointError(f"{path}: saved {section} config does not fit: {e}") from None
     return arrays, decoded

@@ -869,6 +869,20 @@ def test_checkpoint_with_unknown_model_key_yields_error_record(tmp_path, capsys)
     assert "fusion_mode" in record["message"]
 
 
+def test_checkpoint_with_a_model_value_now_refused_fails_naming_the_file(tmp_path, capsys):
+    # an earlier version saved head names that ModelConfig now refuses
+    path = write_cfg(tmp_path)
+    mcfg = load_run_config(path).model
+    (tmp_path / "run").mkdir()
+    ckpt = tmp_path / "run" / "model.ckpt"
+    saved = {**asdict(mcfg), "head_names": ["A", "A"]}
+    save_checkpoint(str(ckpt), MbtParameters.init(mcfg, seed=1).as_arrays(), {"model": saved}, stage="finetune")
+    assert main(["eval", "--config", path]) == 2
+    [record] = error_records(capsys)
+    assert record["error"] == "CheckpointError"
+    assert record["message"].startswith(f"{ckpt}: saved model config does not fit: head_names")
+
+
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_a_checkpoint_of_the_other_stage_fails_naming_the_file(tmp_path, capsys, command):
     # eval reads a finetune model.ckpt and train --checkpoint a pretrain one:
