@@ -92,9 +92,9 @@ class ModelConfig:
         if len(self.head_names) != len(self.n_classes):
             raise ConfigError("head_names must match n_classes in length")
         if len(set(self.head_names)) < len(self.head_names):
-            raise ConfigError(f"head_names {list(self.head_names)} repeat a name; metrics.csv keys rows by head")
+            raise ConfigError(f"head_names {self.head_names} repeat a name; metrics.csv keys rows by head")
         if any(c in h for h in self.head_names for c in ",\n\r"):
-            raise ConfigError(f"head_names {list(self.head_names)}: a ',', '\\n' or '\\r' breaks metrics.csv")
+            raise ConfigError(f"head_names {self.head_names}: a ',', '\\n' or '\\r' breaks metrics.csv")
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
 
